@@ -5,6 +5,12 @@ allowed relabelings (cube reorder, coordinate permutation, parameter
 renaming with literal swap on the torus, 0/1 reflection in the cube case).
 Canonical labeling is individualization-refinement with orbit pruning, and
 group orders come from a Schreier-Sims chain over the discovered generators.
+
+Leaves of the search are compared by a certificate: the relabelled edges as
+row-major slots a*nv+b (a < b), ascending and negated.  It orders leaves
+exactly as the upper-triangle adjacency bitmap of the relabelled graph
+does; the key's bytes are that bitmap, built once from the best leaf, and
+are unchanged by the cheaper certificate.
 """
 
 from collections import deque
@@ -27,14 +33,6 @@ class ColoredGraph:
 
     colors: tuple
     adj: tuple
-
-    def edges(self):
-        out = []
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                if u < v:
-                    out.append((u, v))
-        return out
 
 
 @dataclass(frozen=True)
@@ -110,42 +108,40 @@ def encode(p):
     return ColoredGraph(tuple(colors), tuple(tuple(sorted(s)) for s in adj))
 
 
-def _refine(adj, cells, vcell, work):
-    """Equitable refinement; splits order parts by neighbor count ascending."""
+def _refine(adj, lab, cell_of, cell_end, work):
+    """Equitable refinement; splits order parts by neighbor count ascending.
+
+    The partition is the vertex list lab with cells indexed by start
+    position: v lies in the cell lab[cell_of[v]:cell_end[cell_of[v]]].  A
+    split rewrites only the cell it splits, and every part is queued as a
+    splitter, in partition order.
+    """
     while work:
         splitter = work.popleft()
         cnt = {}
         for w in splitter:
             for u in adj[w]:
                 cnt[u] = cnt.get(u, 0) + 1
-        touched = set()
-        for u in cnt:
-            touched.add(vcell[u])
-        split_any = False
-        for ci in touched:
-            cell = cells[ci]
-            if len(cell) == 1:
+        for start in sorted({cell_of[u] for u in cnt}):
+            end = cell_end[start]
+            if end - start == 1:
                 continue
             groups = {}
-            for u in cell:
+            for u in lab[start:end]:
                 groups.setdefault(cnt.get(u, 0), []).append(u)
-            if len(groups) > 1:
-                split_any = True
-                cells[ci] = [groups[c] for c in sorted(groups)]
-        if split_any:
-            new_cells = []
-            for cell in cells:
-                if cell and isinstance(cell[0], list):
-                    for part in cell:
-                        new_cells.append(part)
-                        work.append(part)
-                else:
-                    new_cells.append(cell)
-            cells[:] = new_cells
-            for ci, cell in enumerate(cells):
-                for u in cell:
-                    vcell[u] = ci
-    return cells
+            if len(groups) == 1:
+                continue
+            s = start
+            for c in sorted(groups):
+                part = groups[c]
+                e = s + len(part)
+                lab[s:e] = part
+                cell_end[s] = e
+                if s != start:
+                    for u in part:
+                        cell_of[u] = s
+                work.append(part)
+                s = e
 
 
 def _initial_partition(colors):
@@ -159,67 +155,65 @@ class _Canonicalizer:
     """Individualization-refinement search over one colored graph."""
 
     def __init__(self, graph):
-        self.adj = [set(nbrs) for nbrs in graph.adj]
-        self.adj_t = graph.adj
+        self.adj = graph.adj
         self.colors = graph.colors
         self.nv = len(graph.colors)
+        self.edges = [
+            (u, w) for u, nbrs in enumerate(graph.adj) for w in nbrs if u < w
+        ]
         self.best_cert = None
         self.best_perm = None
         self.gens = []
 
     def run(self):
+        """Return (key bitmap, canonical labelling, automorphism generators)."""
         cells = _initial_partition(self.colors)
-        vcell = [0] * self.nv
-        for ci, cell in enumerate(cells):
-            for u in cell:
-                vcell[u] = ci
-        _refine(self.adj_t, cells, vcell, deque(list(cells)))
-        self._search(cells, ())
-        return self.best_cert, self.best_perm, self.gens
+        lab, cell_of, cell_end = [], [0] * self.nv, [0] * self.nv
+        for cell in cells:
+            start = len(lab)
+            lab += cell
+            cell_end[start] = len(lab)
+            for v in cell:
+                cell_of[v] = start
+        _refine(self.adj, lab, cell_of, cell_end, deque(cells))
+        self._search(lab, cell_of, cell_end, ())
+        return self._bitmap(self.best_cert), self.best_perm, self.gens
 
-    def _target_cell(self, cells):
-        best = None
-        for ci, cell in enumerate(cells):
-            if len(cell) > 1 and (best is None or len(cell) > len(cells[best])):
-                best = ci
-        return best
-
-    def _search(self, cells, prefix):
-        ti = self._target_cell(cells)
-        if ti is None:
-            self._leaf([c[0] for c in cells])
+    def _search(self, lab, cell_of, cell_end, prefix):
+        # Branch on the first largest non-singleton cell.
+        target, size = None, 1
+        s = 0
+        while s < self.nv:
+            e = cell_end[s]
+            if e - s > size:
+                target, size = s, e - s
+            s = e
+        if target is None:
+            self._leaf(lab)
             return
+        end = target + size
         processed = set()
-        for v in list(cells[ti]):
-            if v in self._orbit(processed, prefix):
-                continue
-            child = [list(c) for c in cells]
-            rest = [u for u in child[ti] if u != v]
-            child[ti:ti + 1] = [[v], rest]
-            vcell = [0] * self.nv
-            for ci, cell in enumerate(child):
-                for u in cell:
-                    vcell[u] = ci
-            _refine(self.adj_t, child, vcell, deque([[v], rest]))
-            self._search(child, prefix + (v,))
+        # Generators that fix the prefix, filtered once per node and
+        # extended only when the search below has found new ones.
+        stab, seen = [], 0
+        for v in lab[target:end]:
+            if processed:
+                if seen < len(self.gens):
+                    stab += [g for g in self.gens[seen:]
+                             if all(g[x] == x for x in prefix)]
+                    seen = len(self.gens)
+                if v in _orbit(processed, stab):
+                    continue
+            rest = [u for u in lab[target:end] if u != v]
+            clab, ccell, cend = lab[:], cell_of[:], cell_end[:]
+            clab[target:end] = [v] + rest
+            cend[target] = target + 1
+            cend[target + 1] = end
+            for u in rest:
+                ccell[u] = target + 1
+            _refine(self.adj, clab, ccell, cend, deque([[v], rest]))
+            self._search(clab, ccell, cend, prefix + (v,))
             processed.add(v)
-
-    def _orbit(self, seeds, prefix):
-        if not seeds:
-            return seeds
-        gens = [g for g in self.gens if all(g[v] == v for v in prefix)]
-        if not gens:
-            return seeds
-        orb = set(seeds)
-        stack = list(seeds)
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = g[x]
-                if y not in orb:
-                    orb.add(y)
-                    stack.append(y)
-        return orb
 
     def _leaf(self, perm):
         cert = self._certificate(perm)
@@ -235,17 +229,51 @@ class _Canonicalizer:
                 self.gens.append(g)
 
     def _certificate(self, perm):
+        """Relabelled edges as row-major slots a*nv+b (a < b), ascending, negated.
+
+        Every leaf has the same edge count, so the first differing slot
+        decides, and the certificate holding it is the larger adjacency
+        bitmap: these lists compare exactly like the bitmaps of _bitmap.
+        """
+        nv = self.nv
+        pos = [0] * nv
+        for i, v in enumerate(perm):
+            pos[v] = i
+        slots = []
+        for u, w in self.edges:
+            a, b = pos[u], pos[w]
+            slots.append(a * nv + b if a < b else b * nv + a)
+        slots.sort()
+        return [-s for s in slots]
+
+    def _bitmap(self, cert):
+        """The key bytes: the certificate's upper-triangle adjacency bitmap.
+
+        Bit k, MSB first, is the k-th pair (a, b), a < b, in row-major order.
+        """
         nv = self.nv
         bits = bytearray((nv * (nv - 1) // 2 + 7) // 8)
-        k = 0
-        adj = self.adj
-        for i in range(nv):
-            row = adj[perm[i]]
-            for j in range(i + 1, nv):
-                if perm[j] in row:
-                    bits[k >> 3] |= 128 >> (k & 7)
-                k += 1
+        for s in cert:
+            a, b = divmod(-s, nv)
+            k = a * (2 * nv - a - 1) // 2 + b - a - 1
+            bits[k >> 3] |= 128 >> (k & 7)
         return bytes(bits)
+
+
+def _orbit(seeds, gens):
+    """Closure of the seed set under the generators."""
+    if not gens:
+        return seeds
+    orb = set(seeds)
+    stack = list(seeds)
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g[x]
+            if y not in orb:
+                orb.add(y)
+                stack.append(y)
+    return orb
 
 
 def _compose(a, b):

@@ -324,11 +324,14 @@ _FIXTURE_EXPECTATIONS = {
 def verify_fixture(name):
     """Re-derive every pinned property of a bundled fixture.
 
-    Returns the derived report dict; raises VerificationError with a
-    field-by-field diff when anything drifted.
+    Returns the derived report dict; raises VerificationError when the
+    fixture is not a valid packing, and with a field-by-field diff when
+    anything drifted.
     """
     p = load_fixture(name)
-    validate(p)
+    violation = validate(p)
+    if violation is not None:
+        raise VerificationError(f"{name}: invalid: {violation.detail}")
     derived = dict(
         m=p.m,
         nparams=p.nparams,
@@ -386,7 +389,9 @@ def _cmd_verify(args, out):
 
 def _cmd_canon(args, out):
     p = load_file(args.path)
-    validate(p)
+    violation = validate(p)
+    if violation is not None:
+        raise ValueError(f"{args.path}: {violation.detail}")
     payload = {
         "key": canonical_key(p).hex(),
         "m": p.m,

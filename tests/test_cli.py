@@ -7,7 +7,7 @@ import pytest
 from cubepack import backend, cli, discrete
 from cubepack.canon import canonical_key
 from cubepack.constructions import one_dim_tiling, rod_tiling
-from cubepack.model import dumps, loads
+from cubepack.model import dumps, loads, make_packing
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -153,6 +153,45 @@ def test_canon_subcommand():
     payload = json.loads(text)
     assert payload["m"] == 4 and payload["aut"] == 24
     assert not payload["extensible"] and not payload["tiling"]
+
+
+def _invalid_copy(tmp_path, edit):
+    """A copy of the minimal-packing fixture, changed by edit(obj)."""
+    source = Path(__file__).parents[1] / "fixtures/figure2/minimal-packing.json"
+    obj = json.loads(source.read_text())
+    edit(obj)
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_canon_rejects_overlapping_cubes(tmp_path, capsys):
+    path = _invalid_copy(tmp_path, lambda o: o["cubes"].append(o["cubes"][0]))
+    code, text = run(["canon", "--in", path])
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == f"{path}: cubes 0 and 4 overlap\n"
+
+
+def test_canon_rejects_boundary_code_on_torus(tmp_path, capsys):
+    def edit(obj):
+        obj["cubes"][0][0] = 0
+
+    path = _invalid_copy(tmp_path, edit)
+    code, text = run(["canon", "--in", path])
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "cube 0, coordinate 0" in err and "invalid for torus" in err
+
+
+def test_verify_rejects_invalid_fixture(monkeypatch, capsys):
+    p = cli.load_fixture("minimal-packing")
+    bad = make_packing(p.space, p.dim, p.cubes + p.cubes[:1])
+    monkeypatch.setattr(cli, "load_fixture", lambda name: bad)
+    code, text = run(["verify", "--fixtures", "minimal-packing"])
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err
+    assert err == "minimal-packing: invalid: cubes 0 and 4 overlap\n"
 
 
 def test_verify_single_fixture():
