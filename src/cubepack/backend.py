@@ -1,47 +1,16 @@
-"""Kernel backend selection.
+"""Discrete-grid kernels.
 
-The discrete-grid kernels exist twice: numba @njit versions and pure
-numpy/python fallbacks.  CUBEPACK_BACKEND picks one: "numba", "numpy", or
-"auto" (numba when importable, else numpy).
+Canonical forms and stabilizers of anchor sets under the grid symmetry
+group, on numpy, and the minimal-maximal-packing cover search, on Python
+integers used as bitmasks.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def backend_name(override=None):
-    """Resolve the backend: explicit override, else CUBEPACK_BACKEND."""
-    choice = override or os.environ.get("CUBEPACK_BACKEND", "auto")
-    choice = choice.lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r}")
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    return choice
-
 
 # -- canonical form of a discrete anchor set under a permutation group ------
 
 
-def canonical_state_numpy(group, positions):
+def canonical_state(group, positions):
     """Lexicographically smallest sorted image of positions under the group.
 
     Args:
@@ -55,7 +24,7 @@ def canonical_state_numpy(group, positions):
     return tuple(int(v) for v in rows[idx[0]])
 
 
-def stabilizer_order_numpy(group, positions):
+def stabilizer_order(group, positions):
     """Number of group elements fixing the position set."""
     if not positions:
         return group.shape[0]
@@ -64,63 +33,19 @@ def stabilizer_order_numpy(group, positions):
     return int((rows == ref).all(axis=1).sum())
 
 
-@njit(cache=True)
-def _canonical_state_jit(group, positions):  # pragma: no cover - jit body
-    ngroup = group.shape[0]
-    k = positions.shape[0]
-    best = np.empty(k, np.int64)
-    row = np.empty(k, np.int64)
-    for g in range(ngroup):
-        for i in range(k):
-            row[i] = group[g, positions[i]]
-        row.sort()
-        if g == 0:
-            best[:] = row
-            continue
-        for i in range(k):
-            if row[i] < best[i]:
-                best[:] = row
-                break
-            if row[i] > best[i]:
-                break
-    return best
-
-
-def canonical_state(group, positions, backend=None):
-    if not positions:
-        return ()
-    if backend_name(backend) == "numba":
-        arr = _canonical_state_jit(group, np.asarray(positions, np.int64))
-        return tuple(int(v) for v in arr)
-    return canonical_state_numpy(group, positions)
-
-
-def stabilizer_order(group, positions, backend=None):
-    return stabilizer_order_numpy(group, positions)
-
-
 # -- minimal maximal packing search ------------------------------------------
 #
-# Positions are bitmask indices; balls[v] is the overlap ball of v packed
-# into uint64 words.  A cube set S is a packing iff each placed v was not in
-# the coverage of the previous ones, and maximal iff the coverage is full.
-# The search adds, at every step, a cube covering the first uncovered
-# position, which visits every maximal packing up to translation.
+# Positions are bitmask indices; balls[v] is the overlap ball of v as an int.
+# A cube set S is a packing iff each placed v was not in the coverage of the
+# previous ones, and maximal iff the coverage is full.  The search adds, at
+# every step, a cube covering the first uncovered position, which visits
+# every maximal packing up to translation.
 
 
-def _pack_masks(balls_int, npos):
-    words = (npos + 63) // 64
-    out = np.zeros((len(balls_int), words), np.uint64)
-    for i, mask in enumerate(balls_int):
-        for w in range(words):
-            out[i, w] = (mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-    return out
-
-
-def search_min_maximal_python(balls_int, npos, maxball, limit):
+def search_min_maximal(balls, npos, maxball, limit):
     """Depth-first search for a maximal set of at most limit cubes.
 
-    Returns the chosen position list or None.  Pure-int fallback kernel.
+    Returns the chosen position list or None.
     """
     full = (1 << npos) - 1
     chosen = [0]
@@ -140,108 +65,15 @@ def search_min_maximal_python(balls_int, npos, maxball, limit):
         if depth + need > limit:
             return
         u = (uncovered & -uncovered).bit_length() - 1
-        cands = balls_int[u] & ~covered
+        cands = balls[u] & ~covered
         while cands:
             v = (cands & -cands).bit_length() - 1
             cands &= cands - 1
             chosen.append(v)
-            rec(covered | balls_int[v], depth + 1)
+            rec(covered | balls[v], depth + 1)
             chosen.pop()
             if found is not None:
                 return
 
-    rec(balls_int[0], 1)
+    rec(balls[0], 1)
     return found
-
-
-@njit(cache=True)
-def _search_min_maximal_jit(balls, words, npos, maxball, limit, witness):
-    # pragma: no cover - jit body
-    depth = 1
-    witness[0] = 0
-    covered = np.zeros((limit + 1, words), np.uint64)
-    covered[1] = balls[0]
-    cands = np.zeros((limit + 1, npos), np.int32)
-    ncand = np.zeros(limit + 1, np.int32)
-    cursor = np.zeros(limit + 1, np.int32)
-    fresh = True
-    while depth >= 1:
-        cov = covered[depth]
-        if fresh:
-            total = 0
-            for w in range(words):
-                total += bin_popcount(cov[w])
-            if total == npos:
-                return depth
-            if depth == limit:
-                fresh = False
-                depth -= 1
-                continue
-            need = ((npos - total) + maxball - 1) // maxball
-            if depth + need > limit:
-                fresh = False
-                depth -= 1
-                continue
-            u = -1
-            for w in range(words):
-                inv = ~cov[w]
-                if inv != np.uint64(0):
-                    u = 64 * w + trailing_zeros(inv)
-                    break
-            k = 0
-            for w in range(words):
-                free = balls[u, w] & ~cov[w]
-                base = 64 * w
-                while free != np.uint64(0):
-                    t = trailing_zeros(free)
-                    cands[depth, k] = base + t
-                    k += 1
-                    free &= free - np.uint64(1)
-            ncand[depth] = k
-            cursor[depth] = 0
-        if cursor[depth] >= ncand[depth]:
-            fresh = False
-            depth -= 1
-            continue
-        v = cands[depth, cursor[depth]]
-        cursor[depth] += 1
-        witness[depth] = v
-        for w in range(words):
-            covered[depth + 1, w] = covered[depth, w] | balls[v, w]
-        depth += 1
-        fresh = True
-    return -1
-
-
-@njit(cache=True)
-def bin_popcount(x):  # pragma: no cover - jit body
-    count = 0
-    while x != np.uint64(0):
-        x &= x - np.uint64(1)
-        count += 1
-    return count
-
-
-@njit(cache=True)
-def trailing_zeros(x):  # pragma: no cover - jit body
-    if x == np.uint64(0):
-        return 64
-    count = 0
-    while (x & np.uint64(1)) == np.uint64(0):
-        x >>= np.uint64(1)
-        count += 1
-    return count
-
-
-def search_min_maximal(balls_int, npos, maxball, limit, backend=None):
-    """Find a maximal packing with at most limit cubes, or None."""
-    if backend_name(backend) == "numba":
-        balls = _pack_masks(balls_int, npos)
-        witness = np.full(limit + 1, -1, np.int32)
-        size = _search_min_maximal_jit(
-            balls, balls.shape[1], npos, maxball, limit, witness
-        )
-        if size < 0:
-            return None
-        return [int(v) for v in witness[:size]]
-    return search_min_maximal_python(balls_int, npos, maxball, limit)

@@ -24,6 +24,7 @@ from .model import (
     CUBE,
     TORUS,
     add_cube,
+    coordinate_params,
     empty_packing,
     from_json_obj,
     is_literal,
@@ -279,28 +280,14 @@ def min_nonextensible(records):
     return best, [r for r in records if r.m == best]
 
 
-def coordinate_counts(p):
-    counts = [0] * p.dim
-    for _, j in p.param_coord:
-        counts[j] += 1
-    return counts
-
-
 def laminated(p):
     """Whether some coordinate carries exactly one parameter."""
-    return min(coordinate_counts(p)) == 1
+    return min(len(s) for s in coordinate_params(p)) == 1
 
 
 def laminated_mass(records):
     """Total probability of the laminated terminal classes."""
     return sum((r.prob for r in records if laminated(r.rep)), Fraction(0))
-
-
-def _params_per_coordinate(p):
-    sets = [set() for _ in range(p.dim)]
-    for q, j in p.param_coord:
-        sets[j].add(q)
-    return sets
 
 
 def _new_param_count(sets, cube):
@@ -333,7 +320,7 @@ def replay_is_positive(p, order=None):
         best = _max_newparams(sub)
         if best is None:
             return False
-        if _new_param_count(_params_per_coordinate(sub), p.cubes[i]) != best:
+        if _new_param_count(coordinate_params(sub), p.cubes[i]) != best:
             return False
         sub = add_cube(sub, p.cubes[i])
     return True
@@ -359,7 +346,7 @@ def positive_path_exists(p, allow_large=False):
             best = _max_newparams(sub)
             if best is None:
                 continue
-            sets = _params_per_coordinate(sub)
+            sets = coordinate_params(sub)
             for i in range(m):
                 if not mask >> i & 1:
                     if _new_param_count(sets, p.cubes[i]) == best:
@@ -516,10 +503,3 @@ def finite_N_census(n, N, space=TORUS, allow_large=False):
     from . import discrete
 
     return discrete.finite_census(n, N, space, allow_large=allow_large)
-
-
-def min_discrete_nonextensible(n, N, allow_long=False):
-    """Minimal size of a maximal grid packing, by exhaustive cover search."""
-    from . import discrete
-
-    return discrete.min_maximal_packing(n, N, allow_long=allow_long)

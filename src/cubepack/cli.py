@@ -2,10 +2,9 @@
 
 Subcommands map onto the library: enumerate (censuses), expand (cube-space
 series), simulate (Monte Carlo), construct (named packings), verify
-(fixture corpus), canon (canonical data of a packing file), bench (timing
-of the grid kernels).  Exact values are printed as rational strings; floats
-appear in simulation and timing reports only.  Stdout carries results only;
-notices and errors go to stderr.
+(fixture corpus), canon (canonical data of a packing file).  Exact values
+are printed as rational strings; floats appear in simulation reports only.
+Stdout carries results only; errors go to stderr.
 Exit codes: 0 success, 1 validation or verification failure, 2 refusal by
 a resource guard.
 """
@@ -16,7 +15,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 
 from .canon import automorphism_order, canonical_key
 from .census import (
@@ -93,7 +91,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--track-lamination", action="store_true")
     p.add_argument("--emit-histogram", action="store_true")
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("construct", help="emit a named packing as JSON")
@@ -121,15 +118,6 @@ def _build_parser():
     p = sub.add_parser("canon", help="canonical data of a packing file")
     p.add_argument("--in", dest="path", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_canon)
-
-    p = sub.add_parser("bench",
-                       help="time the compiled kernels against the numpy "
-                            "fallback; without numba only the fallback "
-                            "is timed")
-    p.add_argument("--dim", type=int, default=3, choices=(2, 3, 4))
-    p.add_argument("--repeat", type=int, default=2,
-                   help="timed runs per kernel; the best is reported")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -206,9 +194,7 @@ def _cmd_simulate(args, out):
         space=args.space, dim=args.dim, N=args.N, trials=args.trials,
         seed=args.seed, track_lamination=args.track_lamination,
     )
-    report = estimate_expectation(
-        cfg, emit_histogram=args.emit_histogram, threads=args.threads
-    )
+    report = estimate_expectation(cfg, emit_histogram=args.emit_histogram)
     payload = {
         "space": cfg.space,
         "dim": cfg.dim,
@@ -243,52 +229,6 @@ def _cmd_construct(args, out):
         p = load_fixture(args.fixture)
     out.write(dumps(p, indent=2))
     out.write("\n")
-    return 0
-
-
-def _best_time(fn, repeat):
-    best, result = None, None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = fn()
-        dt = time.perf_counter() - t0
-        if best is None or dt < best:
-            best = dt
-    return best, result
-
-
-def _cmd_bench(args, out):
-    from . import discrete
-    from .backend import HAVE_NUMBA
-
-    kernels = ("numpy", "numba") if HAVE_NUMBA else ("numpy",)
-    if not HAVE_NUMBA:
-        print("compiled backend unavailable; timing the fallback only",
-              file=sys.stderr)
-    workloads = [
-        (f"min maximal search dim={args.dim} N=2",
-         lambda k: discrete.min_maximal_packing(args.dim, 2, kernel=k)[0]),
-    ]
-    if args.dim <= 3:
-        # The full grid census is only tractable on the small grids.
-        workloads.insert(0, (
-            f"finite census dim={args.dim} N=2",
-            lambda k: [
-                (r.key.bytes, str(r.prob), r.m, r.nparams, r.aut)
-                for r in discrete.finite_census(args.dim, 2, kernel=k)
-            ]))
-    out.write(f"{'workload':34}" + "".join(f"{k:>10}" for k in kernels)
-              + ("   speedup\n" if len(kernels) > 1 else "\n"))
-    for name, fn in workloads:
-        times, results = {}, {}
-        for k in kernels:
-            times[k], results[k] = _best_time(lambda: fn(k), args.repeat)
-        if len(set(map(repr, results.values()))) != 1:
-            raise VerificationError(f"kernels disagree on {name}")
-        row = f"{name:34}" + "".join(f"{times[k]:9.3f}s" for k in kernels)
-        if len(kernels) > 1:
-            row += f"{times['numpy'] / times['numba']:9.1f}x"
-        out.write(row + "\n")
     return 0
 
 

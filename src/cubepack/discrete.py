@@ -6,8 +6,8 @@ permutations, per-coordinate translations on the torus, reflections).  The
 census classes are one step coarser: terminal states merge when a cube
 bijection preserves each pair's number of blocking coordinates, the
 classification calibrated against the published half-step counts.  The
-heavy steps (canonical forms, the minimal-maximal-packing search) go
-through the selectable kernels in backend.
+heavy steps (canonical forms, the minimal-maximal-packing search) are the
+kernels in backend.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import backend
 from .canon import CanonicalKey
 from .census import CensusRecord, ResourceGuardError
-from .model import CUBE, TORUS, phi
+from .model import TORUS, phi
 
 
 def grid_positions(n, N, space):
@@ -155,7 +155,7 @@ def blocking_class_key(anchors, n, N, space):
     )
 
 
-def finite_census(n, N, space=TORUS, allow_large=False, kernel=None):
+def finite_census(n, N, space=TORUS, allow_large=False):
     """Census of terminal discrete packings with exact probabilities."""
     npos = (2 * N) ** n if space == TORUS else (N + 1) ** n
     if npos > 64 and not allow_large:
@@ -181,7 +181,7 @@ def finite_census(n, N, space=TORUS, allow_large=False, kernel=None):
                 v = (addable & -addable).bit_length() - 1
                 addable &= addable - 1
                 child = backend.canonical_state(
-                    group, tuple(sorted(state + (v,))), backend=kernel
+                    group, tuple(sorted(state + (v,)))
                 )
                 nxt[child] = nxt.get(child, Fraction(0)) + prob * share
         frontier = nxt
@@ -219,7 +219,7 @@ def finite_census(n, N, space=TORUS, allow_large=False, kernel=None):
     return out
 
 
-def min_maximal_packing(n, N, allow_long=False, kernel=None):
+def min_maximal_packing(n, N, allow_long=False):
     """Smallest maximal grid packing: exhaustive cover search with witness.
 
     Iterative deepening: every size below the answer is exhausted, so the
@@ -237,9 +237,7 @@ def min_maximal_packing(n, N, allow_long=False, kernel=None):
     balls = _ball_masks(positions, n, N, TORUS)
     maxball = max(m.bit_count() for m in balls)
     for limit in range(1, 2 ** n + 1):
-        found = backend.search_min_maximal(
-            balls, npos, maxball, limit, backend=kernel
-        )
+        found = backend.search_min_maximal(balls, npos, maxball, limit)
         if found is None:
             continue
         witness = [positions[i] for i in found]

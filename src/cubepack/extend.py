@@ -17,9 +17,8 @@ from .model import (
     TORUS,
     ZERO,
     add_cube,
-    is_literal,
+    coordinate_params,
     literal,
-    nparams_per_coordinate,
     opposite,
     param_of,
     validate,
@@ -125,10 +124,11 @@ def class_size(p, c, N):
     """
     if p.space == CUBE:
         return max(0, N - 1) ** c.nb
+    owned = coordinate_params(p)
     size = 1
     for j, cand in enumerate(c.coords):
         if cand == FRESH:
-            size *= max(0, 2 * N - 2 * nparams_per_coordinate(p, j))
+            size *= max(0, 2 * N - 2 * len(owned[j]))
     return size
 
 

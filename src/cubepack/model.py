@@ -166,24 +166,12 @@ def is_tiling(p):
     return len(p.cubes) == 2 ** p.dim
 
 
-def coordinate_param_counts(p):
-    """Per-coordinate counts of distinct parameters (torus packings only)."""
-    if p.space != TORUS:
-        raise ValueError("coordinate_param_counts is defined for torus packings")
-    counts = [set() for _ in range(p.dim)]
-    for cube in p.cubes:
-        for j, code in enumerate(cube):
-            counts[j].add(param_of(code))
-    return tuple(len(s) for s in counts)
-
-
-def nparams_per_coordinate(p, j):
-    seen = set()
-    for cube in p.cubes:
-        code = cube[j]
-        if is_literal(code):
-            seen.add(param_of(code))
-    return len(seen)
+def coordinate_params(p):
+    """Per-coordinate sets of the parameters each coordinate owns."""
+    sets = [set() for _ in range(p.dim)]
+    for q, j in p.param_coord:
+        sets[j].add(q)
+    return sets
 
 
 def normalize_params(p):
@@ -353,7 +341,3 @@ def format_cube(cube):
             s = "+1" if shift_of(code) else ""
             parts.append(f"t{param_of(code) + 1}{s}")
     return "(" + ", ".join(parts) + ")"
-
-
-def format_packing(p):
-    return "\n".join(format_cube(c) for c in p.cubes)

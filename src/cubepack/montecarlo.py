@@ -5,14 +5,14 @@ uniformly over all addable grid positions.  The draw is done
 class-then-member with a single integer sample per step (classes weighted
 by their exact discrete size, the member index decoded within the class),
 so no grid is ever materialized and arbitrarily fine resolutions cost the
-same.  Trials use counter-based substreams keyed (seed, trial index), so
-reports are reproducible for any thread count.
+same.  Trials run in trial-index order, each on a counter-based substream
+keyed (seed, trial index), so a trial's outcome depends on the seed and its
+index only: reports are reproducible, and a run's counts are a prefix of
+any longer run's with the same seed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +22,12 @@ import numpy as np
 
 from .canon import canonical_key
 from .census import laminated
-from .extend import FRESH, class_size, enumerate_extension_classes
+from .extend import (
+    FRESH,
+    class_representative,
+    class_size,
+    enumerate_extension_classes,
+)
 from .model import (
     CUBE,
     TORUS,
@@ -30,7 +35,6 @@ from .model import (
     ZERO,
     add_cube,
     empty_packing,
-    literal,
     phi_grid,
 )
 
@@ -98,19 +102,9 @@ def _randbelow(rng, total):
 
 @lru_cache(maxsize=65536)
 def _child(p, idx):
-    """The packing after adding the representative of class idx; fresh
-    coordinates get new parameters at shift 0, numbered in coordinate
-    order, so the transition is the same for every member of the class."""
-    cls = _classes(p)[idx]
-    next_param = p.nparams
-    row = []
-    for code in cls.coords:
-        if code == FRESH:
-            row.append(literal(next_param, 0))
-            next_param += 1
-        else:
-            row.append(code)
-    return add_cube(p, row)
+    """The packing after adding the representative of class idx, so the
+    transition is the same for every member of the class."""
+    return add_cube(p, class_representative(p, _classes(p)[idx]))
 
 
 def sample_packing(cfg, rng):
@@ -205,28 +199,13 @@ def _run_trial(cfg, trial, want_key):
     return count, lam, key
 
 
-def _thread_count():
-    env = os.environ.get("CUBEPACK_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def estimate_expectation(cfg, emit_histogram=False, threads=None):
+def estimate_expectation(cfg, emit_histogram=False):
     """Run all trials and aggregate; deterministic for a given (cfg, seed).
 
     The 95% interval uses the normal approximation, which is adequate at
     the trial counts used here but approximate for small runs.
     """
-    workers = threads if threads is not None else _thread_count()
-    trials = range(cfg.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda t: _run_trial(cfg, t, emit_histogram), trials)
-            )
-    else:
-        results = [_run_trial(cfg, t, emit_histogram) for t in trials]
+    results = [_run_trial(cfg, t, emit_histogram) for t in range(cfg.trials)]
     counts = tuple(r[0] for r in results)
     mean = sum(counts) / cfg.trials
     if cfg.trials > 1:

@@ -224,11 +224,6 @@ def ratfun(num, den=1):
     return RationalFunction(_as_poly(num), _as_poly(den))
 
 
-def normalize(f):
-    """Re-normalize an (already normalized) rational function; identity op."""
-    return RationalFunction(f.num, f.den)
-
-
 @dataclass(frozen=True)
 class Series:
     """Truncated expansion a_0 + a_1 x + ... + a_K x^K with x = 1/(N-1)."""

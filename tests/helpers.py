@@ -5,8 +5,9 @@ grid counting, explicit relabeling search) so the package code is checked
 against independent definitions, not against itself.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 
+from cubepack.discrete import grid_overlaps
 from cubepack.extend import class_representative, enumerate_extension_classes
 from cubepack.model import (
     CUBE,
@@ -142,3 +143,35 @@ def random_packing(rng, space, dim, steps):
         c = classes[rng.randrange(len(classes))]
         p = add_cube(p, class_representative(p, c))
     return p
+
+
+def brute_coordinate_params(p):
+    """Per-coordinate sets of parameters, read off the cubes' literal codes."""
+    return [
+        {param_of(cube[j]) for cube in p.cubes if is_literal(cube[j])}
+        for j in range(p.dim)
+    ]
+
+
+def brute_min_maximal(n, N):
+    """Size of the smallest maximal packing of grid-anchored torus cubes.
+
+    Grows every packing, as an increasing position sequence, one cube at a
+    time and tests overlap with grid_overlaps alone; the first size at which
+    some packing overlaps every grid position is the answer.
+    """
+    positions = list(product(range(2 * N), repeat=n))
+    clash = [[grid_overlaps(a, b, N, TORUS) for b in positions]
+             for a in positions]
+    level = [()]
+    while level:
+        level = [
+            s + (v,)
+            for s in level
+            for v in range(s[-1] + 1 if s else 0, len(positions))
+            if not any(clash[u][v] for u in s)
+        ]
+        for s in level:
+            if all(any(row[u] for u in s) for row in clash):
+                return len(s)
+    raise AssertionError("no maximal packing found")

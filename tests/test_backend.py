@@ -1,53 +1,13 @@
-import random
-
-import numpy as np
-import pytest
+from helpers import brute_min_maximal
 
 from cubepack import backend
-from cubepack.discrete import grid_positions, symmetry_group, _ball_masks
+from cubepack.discrete import (
+    grid_overlaps,
+    grid_positions,
+    min_maximal_packing,
+    symmetry_group,
+)
 from cubepack.model import TORUS
-
-
-def test_backend_name_resolution(monkeypatch):
-    monkeypatch.delenv("CUBEPACK_BACKEND", raising=False)
-    expected = "numba" if backend.HAVE_NUMBA else "numpy"
-    assert backend.backend_name() == expected
-    monkeypatch.setenv("CUBEPACK_BACKEND", "numpy")
-    assert backend.backend_name() == "numpy"
-    assert backend.backend_name("numpy") == "numpy"
-    with pytest.raises(ValueError):
-        backend.backend_name("fortran")
-
-
-def test_backend_numba_unavailable(monkeypatch):
-    monkeypatch.setattr(backend, "HAVE_NUMBA", False)
-    assert backend.backend_name() == "numpy"
-    with pytest.raises(RuntimeError):
-        backend.backend_name("numba")
-
-
-def test_pack_masks_roundtrip():
-    masks = [0, 1, (1 << 70) | 5, (1 << 128) - 1]
-    packed = backend._pack_masks(masks, 130)
-    for mask, row in zip(masks, packed):
-        back = 0
-        for w, word in enumerate(row):
-            back |= int(word) << (64 * w)
-        assert back == mask
-
-
-def test_canonical_state_parity():
-    if not backend.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    rng = random.Random(5)
-    group = symmetry_group(2, 2, TORUS)
-    npos = group.shape[1]
-    for _ in range(25):
-        k = rng.randrange(1, 6)
-        positions = tuple(sorted(rng.sample(range(npos), k)))
-        a = backend.canonical_state(group, positions, backend="numpy")
-        b = backend.canonical_state(group, positions, backend="numba")
-        assert a == b
 
 
 def test_canonical_state_is_orbit_invariant():
@@ -67,25 +27,13 @@ def test_stabilizer_order_counts():
 
 
 def test_search_parity_small_grids():
+    # the smallest maximal half-step packing has 4 cubes in dimensions 2
+    # and 3, and no maximal packing has fewer
     for n in (2, 3):
-        positions = grid_positions(n, 2, TORUS)
-        balls = _ball_masks(positions, n, 2, TORUS)
-        npos = len(positions)
-        maxball = max(m.bit_count() for m in balls)
-        results = {}
-        kernels = ["numpy"] + (["numba"] if backend.HAVE_NUMBA else [])
-        for kernel in kernels:
-            for limit in range(1, 2 ** n + 1):
-                found = backend.search_min_maximal(
-                    balls, npos, maxball, limit, backend=kernel
-                )
-                if found is not None:
-                    results.setdefault(kernel, (limit, found))
-                    break
-        sizes = {size for size, _ in results.values()}
-        assert len(sizes) == 1
-        for _, witness in results.values():
-            covered = 0
-            for v in witness:
-                covered |= balls[v]
-            assert covered == (1 << npos) - 1
+        size, witness = min_maximal_packing(n, 2)
+        assert size == len(witness) == 4
+        assert brute_min_maximal(n, 2) == 4
+        assert not any(grid_overlaps(a, b, 2, TORUS)
+                       for i, a in enumerate(witness) for b in witness[i + 1:])
+        assert all(any(grid_overlaps(pos, w, 2, TORUS) for w in witness)
+                   for pos in grid_positions(n, 2, TORUS))

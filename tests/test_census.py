@@ -8,7 +8,6 @@ from cubepack.census import (
     ResourceGuardError,
     closed_form_expansion_polys,
     comb_type_counts,
-    coordinate_counts,
     cube_expansion,
     expected_cubes_limit,
     interpolate_Ck,
@@ -26,7 +25,7 @@ from cubepack.constructions import (
     one_factorization,
     rod_tiling,
 )
-from cubepack.model import TORUS, make_packing
+from cubepack.model import TORUS, coordinate_params, make_packing
 from cubepack.ratfun import format_polynomial
 
 
@@ -142,7 +141,8 @@ def test_laminated_mass_n3():
     assert laminated_mass(recs) == Fraction(2, 3)
     lams = [r for r in recs if laminated(r.rep)]
     assert [r.prob for r in lams] == [Fraction(1, 3), Fraction(1, 3)]
-    profiles = {tuple(sorted(coordinate_counts(r.rep))) for r in lams}
+    profiles = {tuple(sorted(len(s) for s in coordinate_params(r.rep)))
+                for r in lams}
     assert profiles == {(1, 2, 4), (1, 3, 3)}
 
 

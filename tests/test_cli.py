@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cubepack import backend, cli, discrete
+from cubepack import cli
 from cubepack.canon import canonical_key
 from cubepack.constructions import one_dim_tiling, rod_tiling
 from cubepack.model import dumps, loads, make_packing
@@ -72,18 +72,18 @@ def test_enumerate_checkpoint(tmp_path):
     assert again_code == 0 and again_text == text
 
 
-def test_simulate_deterministic_and_threaded():
+def test_simulate_deterministic():
     argv = ["simulate", "--space", "torus", "--dim", "3", "--N", "50",
             "--trials", "200", "--seed", "9", "--track-lamination",
             "--emit-histogram"]
-    code, text = run(argv + ["--threads", "1"])
+    code, text = run(argv)
     assert code == 0
     report = json.loads(text)
     assert report["trials"] == 200 and 4 <= report["mean"] <= 8
     assert 0 <= report["lamination_frequency"] <= 1
     assert sum(c for _, c in report["histogram"]) == 200
-    threaded_code, threaded_text = run(argv + ["--threads", "5"])
-    assert threaded_code == 0 and threaded_text == text
+    again_code, again_text = run(argv)
+    assert again_code == 0 and again_text == text
 
 
 def test_construct_roundtrip():
@@ -119,29 +119,6 @@ def test_construct_hmatrix_and_hn():
     assert code == 0
     p = loads(text)
     assert p.m == 8 and p.nparams == 6
-
-
-def test_bench_smoke(capsys):
-    code, text = run(["bench", "--dim", "2", "--repeat", "1"])
-    assert code == 0
-    lines = text.splitlines()
-    assert lines[0].startswith("workload")
-    assert any("finite census dim=2" in ln for ln in lines)
-    assert any("min maximal search dim=2" in ln for ln in lines)
-    if not backend.HAVE_NUMBA:
-        notice = "compiled backend unavailable"
-        assert notice in capsys.readouterr().err
-        assert notice not in text
-
-
-def test_bench_kernel_disagreement(monkeypatch, capsys):
-    monkeypatch.setattr(backend, "HAVE_NUMBA", True)
-    monkeypatch.setattr(discrete, "min_maximal_packing",
-                        lambda n, N, kernel=None: (kernel, []))
-    code, _ = run(["bench", "--dim", "4", "--repeat", "1"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "kernels disagree on min maximal search dim=4" in err
 
 
 def test_canon_subcommand():
@@ -230,6 +207,7 @@ def test_verify_detects_drift(monkeypatch, capsys):
         (["construct", "--rod", "3", "--hmatrix", "3"], 1),
         (["verify", "--fixtures", "nope"], 1),
         (["canon", "--in", "no/such/file.json"], 1),
+        (["bench"], 1),
     ],
 )
 def test_exit_codes(argv, expected, capsys):

@@ -5,6 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import brute_coordinate_params
+
+from cubepack.census import cube_expansion, torus_limit_census
+from cubepack.constructions import (
+    fixtures,
+    h_matrix,
+    hn_tiling,
+    load_fixture,
+    rod_tiling,
+)
 from cubepack.model import (
     CUBE,
     ONE,
@@ -13,6 +23,7 @@ from cubepack.model import (
     DimensionError,
     GridError,
     InvalidDiscretePackingError,
+    coordinate_params,
     dumps,
     empty_packing,
     format_cube,
@@ -168,6 +179,17 @@ def test_phi_output_always_validates():
                 rows.append(cand)
         p = phi_grid(rows, N, TORUS)
         assert validate(p) is None
+
+
+def test_coordinate_params_match_cube_codes():
+    packings = [r.rep for r in torus_limit_census(3, include_zero_prob=True)]
+    packings += [load_fixture(name) for name in sorted(fixtures())]
+    packings += [rod_tiling(n) for n in (3, 4, 5)]
+    packings += [hn_tiling(5), h_matrix(7)]
+    packings += [r.rep for r in cube_expansion(3, 3, return_records=True)[1]]
+    assert len(packings) == 45
+    for p in packings:
+        assert coordinate_params(p) == brute_coordinate_params(p)
 
 
 def test_normalize_params_renumbers_densely():
