@@ -375,7 +375,13 @@ def cube_expansion(n, order, allow_long=False, return_records=False):
 
     Returns:
         Series of length order + 1, or (Series, records).
+
+    Raises:
+        ValueError: if order is negative.
+        ResourceGuardError: if order > 4 without allow_long.
     """
+    if order < 0:
+        raise ValueError(f"expansion order must be >= 0, got {order}")
     if order > 4 and not allow_long:
         raise ResourceGuardError(f"expansion order {order} needs the long flag")
     one = ratfun(1)
@@ -396,9 +402,11 @@ def cube_expansion(n, order, allow_long=False, return_records=False):
             budget = order - prob.order_at_infinity()
             dmax = max(c.nb for c in classes)
             kept = [c for c in classes if dmax - c.nb <= budget]
-            den = sum((X - 1) ** c.nb for c in kept)
+            weights = {nb: (X - 1) ** nb for nb in {c.nb for c in kept}}
+            den = sum(weights[c.nb] for c in kept)
+            shares = {nb: RationalFunction(w, den) for nb, w in weights.items()}
             for c in kept:
-                share = RationalFunction((X - 1) ** c.nb, den)
+                share = shares[c.nb]
                 child = add_cube(rep, class_representative(rep, c))
                 ckey = canonical_key(child).bytes
                 entry = nxt.get(ckey)

@@ -1,12 +1,17 @@
 """Exact univariate polynomials, rational functions, and truncated series.
 
-All probability bookkeeping runs on Fractions.  Rational functions are kept
-normalized (coprime parts, monic denominator).  Series live in the variable
-x = 1/(N-1), the expansion parameter of the expected-cube-count asymptotics.
+Polynomials, series and interpolation run on Fractions.  Rational functions
+run on integer coefficients: numerator and denominator are int tuples kept
+coprime in Z[x] with a positive leading denominator coefficient, and their
+gcds come from primitive remainder sequences (Collins 1967), so the sweep's
+probability arithmetic never touches a Fraction.  Series live in the
+variable x = 1/(N-1), the expansion parameter of the expected-cube-count
+asymptotics.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class PoleAtInfinityError(ArithmeticError):
@@ -101,23 +106,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c:
-                for i, b in enumerate(other.coeffs):
-                    rem[k + i] -= c * b
-        return Polynomial(quot), Polynomial(rem)
-
 
 def _as_poly(v):
     if isinstance(v, Polynomial):
@@ -130,98 +118,237 @@ ONE_POLY = Polynomial((1,))
 
 
 def poly_gcd(a, b):
-    """Monic Euclidean gcd; tiny inputs, clarity over speed."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd of two Polynomials, computed on their primitive parts in Z[x]."""
+    if a.is_zero() or b.is_zero():
+        return (a + b).monic()
+    return Polynomial(_zgcd(*_int_coeffs(a.coeffs, b.coeffs))).monic()
 
 
-@dataclass(frozen=True)
+# Polynomials in Z[x] as int tuples, constant term first, no trailing zeros.
+
+def _int_coeffs(*polys):
+    """Clear the denominators of Fraction coefficient tuples by one common factor."""
+    scale = lcm(*(c.denominator for p in polys for c in p))
+    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in polys]
+
+
+def _zadd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
+
+
+def _zmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _zpow(a, k):
+    out = (1,)
+    for _ in range(k):
+        out = _zmul(out, a)
+    return out
+
+
+def _zprimitive(a):
+    """Primitive part of a nonzero a, with a positive leading coefficient."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else tuple(x // c for x in a)
+
+
+def _zrem(a, b):
+    """Primitive part of a scalar multiple of the remainder of a by b in Q[x].
+
+    Each step scales the running remainder by lc(b)/g and subtracts
+    (top/g) x^k b, with g = gcd(top, lc(b)): a sparse pseudo-remainder.
+    """
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(r) > db:
+        top = r[-1]
+        g = gcd(top, lb)
+        u, v = lb // g, top // g
+        if u != 1:
+            r = [u * x for x in r]
+        k = len(r) - 1 - db
+        for i in range(db):
+            r[k + i] -= v * b[i]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return _zprimitive(r) if r else ()
+
+
+def _zgcd(a, b):
+    """Primitive gcd of two nonzero polynomials: a primitive remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _zprimitive(a), _zprimitive(b)
+    while len(b) > 1:
+        a, b = b, _zrem(a, b)
+        if not b:
+            return a
+    return (1,)
+
+
+def _zquo(a, b):
+    """Quotient of a by b in Z[x], where b is primitive and divides a."""
+    if b == (1,):
+        return a
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] // lb
+        q[k] = c
+        if c:
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return tuple(q)
+
+
+def _content_free(num, den):
+    """Divide out the joint content of num and den, coprime in Q[x]; make lc(den) > 0."""
+    c = gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num = tuple(x // c for x in num)
+        den = tuple(x // c for x in den)
+    return _make(num, den)
+
+
+def _reduced(num, den):
+    """The normal form of num/den, for int tuples with den nonzero."""
+    if not num:
+        return _ZERO
+    g = _zgcd(num, den)
+    return _content_free(_zquo(num, g), _zquo(den, g))
+
+
+@dataclass(frozen=True, slots=True)
 class RationalFunction:
-    """Quotient of polynomials, coprime, denominator monic and nonzero."""
+    """Quotient num/den of integer polynomials in one unique normal form.
 
-    num: Polynomial = Polynomial()
-    den: Polynomial = ONE_POLY
+    num and den are int coefficient tuples, constant term first, coprime in
+    Z[x] (no common polynomial factor and no common integer content), with
+    den's leading coefficient positive; zero is ((), (1,)).  The form is
+    unique, so equality and hashing compare values.  The constructor takes
+    Polynomials or numbers.
+    """
+
+    num: tuple = 0
+    den: tuple = 1
 
     def __post_init__(self):
-        num, den = self.num, self.den
-        if not isinstance(num, Polynomial):
-            num = _as_poly(num)
-        if not isinstance(den, Polynomial):
-            den = _as_poly(den)
-        if den.is_zero():
+        num, den = _int_coeffs(_as_poly(self.num).coeffs, _as_poly(self.den).coeffs)
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = ONE_POLY
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-            lead = den.leading()
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        f = _reduced(num, den)
+        object.__setattr__(self, "num", f.num)
+        object.__setattr__(self, "den", f.den)
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num
 
     def __add__(self, other):
-        other = _as_ratfun(other)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _add(self, _as_ratfun(other))
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return _make(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        return self + (-_as_ratfun(other))
+        return _add(self, -_as_ratfun(other))
 
     def __mul__(self, other):
-        other = _as_ratfun(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return _mul(self, _as_ratfun(other))
 
     def __truediv__(self, other):
-        other = _as_ratfun(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return _mul(self, _inverse(_as_ratfun(other)))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __rsub__(self, other):
-        return _as_ratfun(other) - self
+        return _add(_as_ratfun(other), -self)
 
     def __rtruediv__(self, other):
-        return _as_ratfun(other) / self
+        return _mul(_as_ratfun(other), _inverse(self))
 
     def __pow__(self, k):
-        if k < 0:
-            return RationalFunction(self.den ** -k, self.num ** -k)
-        return RationalFunction(self.num ** k, self.den ** k)
+        f = self if k >= 0 else _inverse(self)
+        return _make(_zpow(f.num, abs(k)), _zpow(f.den, abs(k)))
 
     def __call__(self, x):
-        return self.num(x) / self.den(x)
+        return Polynomial(self.num)(x) / Polynomial(self.den)(x)
 
     def order_at_infinity(self):
         """Vanishing order as the variable grows: deg den - deg num."""
         if self.is_zero():
             raise ValueError("the zero function has no order")
-        return self.den.degree - self.num.degree
+        return len(self.den) - len(self.num)
+
+
+def _make(num, den):
+    """A RationalFunction from parts already in normal form."""
+    f = object.__new__(RationalFunction)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    return f
+
+
+_ZERO = _make((), (1,))
+
+
+def _add(f, g):
+    if f.is_zero():
+        return g
+    if g.is_zero():
+        return f
+    return _reduced(_zadd(_zmul(f.num, g.den), _zmul(g.num, f.den)), _zmul(f.den, g.den))
+
+
+def _mul(f, g):
+    """Cross-cancel a/b * c/d by gcd(a, d) and gcd(c, b); the rest is coprime."""
+    if f.is_zero() or g.is_zero():
+        return _ZERO
+    (a, b), (c, d) = (f.num, f.den), (g.num, g.den)
+    h = _zgcd(a, d)
+    a, d = _zquo(a, h), _zquo(d, h)
+    h = _zgcd(c, b)
+    c, b = _zquo(c, h), _zquo(b, h)
+    return _content_free(_zmul(a, c), _zmul(b, d))
+
+
+def _inverse(f):
+    if f.is_zero():
+        raise ZeroDivisionError("division by the zero function")
+    if f.num[-1] < 0:
+        return _make(tuple(-c for c in f.den), tuple(-c for c in f.num))
+    return _make(f.den, f.num)
 
 
 def _as_ratfun(v):
     if isinstance(v, RationalFunction):
         return v
-    if isinstance(v, Polynomial):
-        return RationalFunction(v, ONE_POLY)
-    return RationalFunction(_as_poly(v), ONE_POLY)
+    if isinstance(v, int):
+        return _make((v,) if v else (), (1,))
+    return RationalFunction(v)
 
 
 def ratfun(num, den=1):
-    return RationalFunction(_as_poly(num), _as_poly(den))
+    return RationalFunction(num, den)
 
 
 @dataclass(frozen=True)
@@ -258,12 +385,12 @@ class Series:
 def _shifted_basis(coeffs):
     """Rewrite sum p_i N^i with N = (x+1)/x as x^(-d) * sum p_i (x+1)^i x^(d-i)."""
     d = len(coeffs) - 1
-    out = [Fraction(0)] * (d + 1)
+    out = [0] * (d + 1)
     for i, p in enumerate(coeffs):
         if p == 0:
             continue
         # p * (x+1)^i * x^(d-i)
-        row = [Fraction(0)] * (d + 1)
+        row = [0] * (d + 1)
         binom = 1
         for k in range(i + 1):
             row[(d - i) + k] += p * binom
@@ -290,12 +417,13 @@ def expand(f, K):
     f = _as_ratfun(f)
     if f.is_zero():
         return Series((Fraction(0),) * (K + 1), K)
-    dp, dq = f.num.degree, f.den.degree
+    dp, dq = len(f.num) - 1, len(f.den) - 1
     if dp > dq:
         raise PoleAtInfinityError("function has a pole at N = infinity")
     shift = dq - dp
-    phat = _shifted_basis(f.num.coeffs)
-    qhat = _shifted_basis(f.den.coeffs)
+    # The integer parts share one scale, which the quotient cancels.
+    phat = _shifted_basis(f.num)
+    qhat = _shifted_basis(f.den)
     # phat/qhat is a power series with nonzero constant term; long division.
     inv = [Fraction(0)] * (K + 1)
     q0 = qhat[0]
@@ -304,7 +432,7 @@ def expand(f, K):
         for i in range(1, k + 1):
             if i < len(qhat):
                 acc -= qhat[i] * inv[k - i]
-        inv[k] = acc / q0
+        inv[k] = Fraction(acc, q0)
     coeffs = [Fraction(0)] * (K + 1)
     for k in range(K + 1):
         if k + shift <= K:
@@ -362,9 +490,7 @@ def format_polynomial(poly, var="n"):
     """Render like 4n^2-8n; fractional coefficients factor out as (...)/d."""
     if poly.is_zero():
         return "0"
-    denom = 1
-    for c in poly.coeffs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+    denom = lcm(*(c.denominator for c in poly.coeffs))
     shown = poly.scale(denom) if denom != 1 else poly
     parts = []
     for power in range(shown.degree, -1, -1):
@@ -381,9 +507,3 @@ def format_polynomial(poly, var="n"):
         parts.append(sign + body)
     text = "".join(parts)
     return f"({text})/{denom}" if denom != 1 else text
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

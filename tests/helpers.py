@@ -19,6 +19,7 @@ from cubepack.model import (
     is_literal,
     param_of,
 )
+from cubepack.ratfun import Polynomial
 
 
 def realize(p, N):
@@ -175,3 +176,15 @@ def brute_min_maximal(n, N):
             if all(any(row[u] for u in s) for row in clash):
                 return len(s)
     raise AssertionError("no maximal packing found")
+
+
+def brute_poly_gcd(a, b):
+    """Monic gcd of two Polynomials by Euclid's algorithm over Fractions."""
+    while not b.is_zero():
+        rem = list(a.coeffs)
+        for k in range(len(rem) - len(b.coeffs), -1, -1):
+            c = rem[k + b.degree] / b.leading()
+            for i, bc in enumerate(b.coeffs):
+                rem[k + i] -= c * bc
+        a, b = b, Polynomial(rem)
+    return a.monic()

@@ -180,6 +180,20 @@ def test_cube_expansion_mass_guard():
         cube_expansion(2, 5)
 
 
+def test_cube_expansion_truncations_are_prefixes():
+    for n in range(1, 5):
+        full = cube_expansion(n, 4).coeffs
+        for k in range(4):
+            assert cube_expansion(n, k).coeffs == full[: k + 1]
+
+
+def test_cube_expansion_rejects_negative_order():
+    with pytest.raises(ValueError):
+        cube_expansion(2, -1)
+    with pytest.raises(ValueError):
+        interpolate_Ck(-1, [1, 2, 3])
+
+
 def test_cube_expansion_type_counts():
     _, recs = cube_expansion(3, 3, return_records=True)
     assert comb_type_counts(recs, 3) == (1, 2, 3, 7)

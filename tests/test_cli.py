@@ -28,11 +28,19 @@ def test_golden_enumerate_torus_dim3():
     assert [r.split(",")[3] for r in rows[2:]] == ["1/3", "1/3", "5/18", "1/18"]
 
 
-def test_golden_expand_order2():
-    code, text = run(["expand", "--order", "2", "--dims", "1..4"])
+@pytest.mark.parametrize(
+    "order, dims, expected",
+    [
+        ("2", "1..4", "C_2 = 4n^2-8n\n"),
+        ("4", "1..6", "C_4 = (2016n^4-21436n^3+58701n^2-40721n)/90\n"),
+    ],
+    ids=["order2", "order4"],
+)
+def test_golden_expand(order, dims, expected):
+    code, text = run(["expand", "--order", order, "--dims", dims])
     assert code == 0
-    assert text == (GOLDEN / "expand_order2.txt").read_text()
-    assert text == "C_2 = 4n^2-8n\n"
+    assert text == (GOLDEN / f"expand_order{order}.txt").read_text()
+    assert text == expected
 
 
 def test_golden_verify_dim6():
@@ -208,9 +216,10 @@ def test_verify_detects_drift(monkeypatch, capsys):
         (["verify", "--fixtures", "nope"], 1),
         (["canon", "--in", "no/such/file.json"], 1),
         (["bench"], 1),
+        (["expand", "--order", "-1", "--dims", "1..3"], 1),
     ],
 )
 def test_exit_codes(argv, expected, capsys):
     code, _ = run(argv)
     assert code == expected
-    capsys.readouterr()
+    assert "Traceback" not in capsys.readouterr().err

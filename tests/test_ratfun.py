@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubepack.ratfun import (
     NonPolynomialDataError,
@@ -20,6 +23,8 @@ from cubepack.ratfun import (
     poly_gcd,
     ratfun,
 )
+
+from helpers import brute_poly_gcd
 
 
 def _random_poly(rng, max_deg):
@@ -39,18 +44,6 @@ def test_polynomial_basics():
     assert p(3) == 16
     assert (p - p).is_zero()
     assert (X + 1) * (X + 1) == p
-
-
-def test_polynomial_divmod_identity():
-    rng = random.Random(1)
-    for _ in range(50):
-        a = _random_poly(rng, 5)
-        b = _random_poly(rng, 3)
-        if b.is_zero():
-            continue
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree < b.degree
 
 
 def test_poly_gcd_is_monic_common_divisor():
@@ -75,6 +68,77 @@ def test_rational_function_field_identities():
         assert f - f == ratfun(0)
         if not g.is_zero():
             assert (f / g) * g == f
+
+
+_coeffs = st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=4))
+_polys = st.lists(_coeffs, max_size=4).map(Polynomial)
+_nonzero_polys = _polys.filter(lambda p: not p.is_zero())
+_points = st.fractions(-7, 7, max_denominator=5)
+
+
+def _assert_normal(f):
+    assert all(type(c) is int for c in f.num + f.den)
+    assert f.den and f.den[-1] > 0
+    assert gcd(*f.num, *f.den) == 1
+    assert brute_poly_gcd(Polynomial(f.num), Polynomial(f.den)).degree == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _nonzero_polys, _polys, _nonzero_polys, _points)
+def test_arithmetic_commutes_with_evaluation(p, q, r, s, x):
+    assume(q(x) != 0 and s(x) != 0)
+    f, g = RationalFunction(p, q), RationalFunction(r, s)
+    u, v = p(x) / q(x), r(x) / s(x)  # the Fraction oracle
+    assert f(x) == u
+    for h, want in ((f + g, u + v), (f - g, u - v), (f * g, u * v), (-f, -u)):
+        _assert_normal(h)
+        assert h(x) == want
+    if not g.is_zero():
+        assume(v != 0)
+        _assert_normal(f / g)
+        assert (f / g)(x) == u / v
+        assert (2 / g)(x) == 2 / v
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _nonzero_polys, st.integers(-3, 3), _points)
+def test_power_commutes_with_evaluation(p, q, k, x):
+    f = RationalFunction(p, q)
+    assume(q(x) != 0 and (k >= 0 or f(x) != 0))
+    _assert_normal(f ** k)
+    assert (f ** k)(x) == (p(x) / q(x)) ** k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _nonzero_polys, _nonzero_polys, st.fractions(-3, 3, max_denominator=4))
+def test_equal_values_give_equal_objects(p, q, h, c):
+    assume(c != 0)
+    f = RationalFunction(p, q)
+    g = RationalFunction(p * h, q * h)
+    assert g == f and hash(g) == hash(f)
+    assert RationalFunction(p.scale(c), q.scale(c)) == f
+    fh, gh = RationalFunction(p * h), RationalFunction(q * h)
+    assert fh / gh == f and hash(fh / gh) == hash(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _nonzero_polys)
+def test_reduced_form_and_order_at_infinity(p, q):
+    f = RationalFunction(p, q)
+    _assert_normal(f)
+    if p.is_zero():
+        assert f.is_zero() and f.den == (1,)
+        return
+    g = brute_poly_gcd(p, q)
+    assert len(f.num) - 1 == p.degree - g.degree
+    assert len(f.den) - 1 == q.degree - g.degree
+    assert f.order_at_infinity() == q.degree - p.degree
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _polys, _polys)
+def test_poly_gcd_matches_euclid(a, b, c):
+    assert poly_gcd(a * c, b * c) == brute_poly_gcd(a * c, b * c)
 
 
 def test_division_by_zero_function_raises():
