@@ -37,13 +37,28 @@ def stabilizer_order(group, positions):
 #
 # Positions are bitmask indices; balls[v] is the overlap ball of v as an int.
 # A cube set S is a packing iff each placed v was not in the coverage of the
-# previous ones, and maximal iff the coverage is full.  The search adds, at
-# every step, a cube covering the first uncovered position, which visits
-# every maximal packing up to translation.
+# previous ones, and maximal iff the coverage is full.  An uncovered
+# position u can only be covered by a cube from its candidate set
+# balls[u] & uncovered: such a cube overlaps u and is itself uncovered, so
+# it can still be placed.
+#
+# Bound: positions whose candidate sets are pairwise disjoint each need a
+# cube of their own.  They are picked greedily in index order, and a node
+# returns as soon as depth + picked exceeds the limit.
+#
+# Branching: every maximal packing that extends the chosen cubes overlaps
+# each uncovered position with a cube from its candidate set.  Branching
+# over the candidates of any one uncovered position therefore still
+# reaches every completion; the search takes the position with the fewest
+# candidates, the lowest index on ties, so the tree is narrow and the
+# result deterministic.
 
 
-def search_min_maximal(balls, npos, maxball, limit):
+def search_min_maximal(balls, npos, limit):
     """Depth-first search for a maximal set of at most limit cubes.
+
+    The first cube sits at position 0, which loses nothing under the
+    translation symmetry of the torus grid.
 
     Returns the chosen position list or None.
     """
@@ -53,22 +68,31 @@ def search_min_maximal(balls, npos, maxball, limit):
 
     def rec(covered, depth):
         nonlocal found
-        if found is not None:
-            return
         if covered == full:
             found = list(chosen)
             return
-        if depth == limit:
-            return
         uncovered = full & ~covered
-        need = (uncovered.bit_count() + maxball - 1) // maxball
-        if depth + need > limit:
-            return
-        u = (uncovered & -uncovered).bit_length() - 1
-        cands = balls[u] & ~covered
-        while cands:
-            v = (cands & -cands).bit_length() - 1
-            cands &= cands - 1
+        picked = 0
+        taken = 0
+        best = None
+        best_count = npos + 1
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cands = balls[low.bit_length() - 1] & uncovered
+            if not cands & taken:
+                taken |= cands
+                picked += 1
+                if depth + picked > limit:
+                    return
+            count = cands.bit_count()
+            if count < best_count:
+                best, best_count = cands, count
+        while best:
+            low = best & -best
+            best ^= low
+            v = low.bit_length() - 1
             chosen.append(v)
             rec(covered | balls[v], depth + 1)
             chosen.pop()

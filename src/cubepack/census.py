@@ -120,6 +120,8 @@ def torus_limit_census(
     Returns:
         List of CensusRecord sorted by descending probability.
     """
+    if n < 0:
+        raise ValueError(f"dimension must be >= 0, got {n}")
     if include_zero_prob and track_paths:
         raise ValueError("path tracking applies to the positive process only")
     limit = 3 if include_zero_prob else 4

@@ -155,8 +155,16 @@ def blocking_class_key(anchors, n, N, space):
     )
 
 
+def _check_grid(n, N):
+    if n < 0:
+        raise ValueError(f"dimension must be >= 0, got {n}")
+    if N < 1:
+        raise ValueError(f"grid resolution N must be >= 1, got {N}")
+
+
 def finite_census(n, N, space=TORUS, allow_large=False):
     """Census of terminal discrete packings with exact probabilities."""
+    _check_grid(n, N)
     npos = (2 * N) ** n if space == TORUS else (N + 1) ** n
     if npos > 64 and not allow_large:
         raise ResourceGuardError(f"finite grid with {npos} positions")
@@ -222,12 +230,17 @@ def finite_census(n, N, space=TORUS, allow_large=False):
 def min_maximal_packing(n, N, allow_long=False):
     """Smallest maximal grid packing: exhaustive cover search with witness.
 
-    Iterative deepening: every size below the answer is exhausted, so the
-    returned size is a proof, and the witness is re-verified directly.
+    Iterative deepening over the size limit.  At each limit
+    backend.search_min_maximal branches on the uncovered position with the
+    fewest candidate cubes and prunes a node once more positions with
+    pairwise disjoint candidate sets remain than cubes; neither rule loses
+    a completion, so every size below the answer is exhausted, the returned
+    size is a proof, and the witness is re-verified directly.
 
     Returns:
         (size, witness) with witness a list of anchor tuples.
     """
+    _check_grid(n, N)
     if N != 2:
         raise ValueError("the search is specific to the half-step grid")
     npos = (2 * N) ** n
@@ -235,9 +248,8 @@ def min_maximal_packing(n, N, allow_long=False):
         raise ResourceGuardError(f"cover search over {npos} positions")
     positions = grid_positions(n, N, TORUS)
     balls = _ball_masks(positions, n, N, TORUS)
-    maxball = max(m.bit_count() for m in balls)
     for limit in range(1, 2 ** n + 1):
-        found = backend.search_min_maximal(balls, npos, maxball, limit)
+        found = backend.search_min_maximal(balls, npos, limit)
         if found is None:
             continue
         witness = [positions[i] for i in found]

@@ -41,7 +41,7 @@ from .model import (
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation request; trials >= 1 and N >= 2."""
+    """One simulation request; dim >= 0, trials >= 1 and N >= 2."""
 
     space: str
     dim: int
@@ -53,6 +53,8 @@ class SimConfig:
     def __post_init__(self):
         if self.space not in (TORUS, CUBE):
             raise ValueError(f"unknown space {self.space!r}")
+        if self.dim < 0:
+            raise ValueError("dim must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.N < 2:

@@ -178,6 +178,47 @@ def brute_min_maximal(n, N):
     raise AssertionError("no maximal packing found")
 
 
+def reference_search_min_maximal(balls, npos, limit):
+    """Unpruned cover search: a maximal set of at most limit cubes, or None.
+
+    The first cube sits at position 0; each step adds a cube covering the
+    first uncovered position, and the only bound is that every further cube
+    covers at most the largest ball.  Slow, but it shares no pruning with
+    backend.search_min_maximal.
+    """
+    full = (1 << npos) - 1
+    maxball = max(b.bit_count() for b in balls)
+    chosen = [0]
+    found = None
+
+    def rec(covered, depth):
+        nonlocal found
+        if found is not None:
+            return
+        if covered == full:
+            found = list(chosen)
+            return
+        if depth == limit:
+            return
+        uncovered = full & ~covered
+        need = (uncovered.bit_count() + maxball - 1) // maxball
+        if depth + need > limit:
+            return
+        u = (uncovered & -uncovered).bit_length() - 1
+        cands = balls[u] & ~covered
+        while cands:
+            v = (cands & -cands).bit_length() - 1
+            cands &= cands - 1
+            chosen.append(v)
+            rec(covered | balls[v], depth + 1)
+            chosen.pop()
+            if found is not None:
+                return
+
+    rec(balls[0], 1)
+    return found
+
+
 def brute_poly_gcd(a, b):
     """Monic gcd of two Polynomials by Euclid's algorithm over Fractions."""
     while not b.is_zero():

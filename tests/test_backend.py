@@ -1,13 +1,24 @@
-from helpers import brute_min_maximal
+import pytest
+from helpers import brute_min_maximal, reference_search_min_maximal
 
 from cubepack import backend
 from cubepack.discrete import (
+    _ball_masks,
     grid_overlaps,
     grid_positions,
     min_maximal_packing,
     symmetry_group,
 )
 from cubepack.model import TORUS
+
+
+def _is_maximal_packing(witness, n):
+    # pairwise disjoint, and every half-step grid position meets some cube
+    disjoint = not any(grid_overlaps(a, b, 2, TORUS)
+                       for i, a in enumerate(witness) for b in witness[i + 1:])
+    return disjoint and all(any(grid_overlaps(pos, w, 2, TORUS)
+                                for w in witness)
+                            for pos in grid_positions(n, 2, TORUS))
 
 
 def test_canonical_state_is_orbit_invariant():
@@ -33,7 +44,26 @@ def test_search_parity_small_grids():
         size, witness = min_maximal_packing(n, 2)
         assert size == len(witness) == 4
         assert brute_min_maximal(n, 2) == 4
-        assert not any(grid_overlaps(a, b, 2, TORUS)
-                       for i, a in enumerate(witness) for b in witness[i + 1:])
-        assert all(any(grid_overlaps(pos, w, 2, TORUS) for w in witness)
-                   for pos in grid_positions(n, 2, TORUS))
+        assert _is_maximal_packing(witness, n)
+
+
+@pytest.mark.parametrize("n, top", [(1, 2), (2, 4), (3, 8), (4, 6)])
+def test_search_matches_unpruned_reference(n, top):
+    # the pruned search finds a packing at exactly the limits where the
+    # unpruned one does; n = 4 stops below its answer 8 to stay quick
+    positions = grid_positions(n, 2, TORUS)
+    balls = _ball_masks(positions, n, 2, TORUS)
+    for limit in range(1, top + 1):
+        found = backend.search_min_maximal(balls, len(positions), limit)
+        ref = reference_search_min_maximal(balls, len(positions), limit)
+        assert (found is None) == (ref is None), limit
+        for chosen in (found, ref):
+            if chosen is not None:
+                assert len(chosen) <= limit
+                assert _is_maximal_packing([positions[i] for i in chosen], n)
+
+
+def test_min_maximal_packing_dim4():
+    size, witness = min_maximal_packing(4, 2)
+    assert size == len(witness) == 8
+    assert _is_maximal_packing(witness, 4)

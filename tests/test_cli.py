@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from cubepack.constructions import one_dim_tiling, rod_tiling
 from cubepack.model import dumps, loads, make_packing
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
 
 
 def run(argv):
@@ -217,9 +221,24 @@ def test_verify_detects_drift(monkeypatch, capsys):
         (["canon", "--in", "no/such/file.json"], 1),
         (["bench"], 1),
         (["expand", "--order", "-1", "--dims", "1..3"], 1),
+        (["enumerate", "--space", "torus", "--dim", "-1"], 1),
+        (["enumerate", "--space", "torus", "--dim", "2",
+          "--regime", "finite", "--N", "0"], 1),
+        (["simulate", "--space", "torus", "--dim", "-1", "--N", "5",
+          "--trials", "3", "--seed", "1"], 1),
     ],
 )
 def test_exit_codes(argv, expected, capsys):
     code, _ = run(argv)
     assert code == expected
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_python_m_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubepack", "verify", "--fixtures", "rod"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rod: tiling, params=6, aut=32\n"

@@ -101,6 +101,17 @@ def test_min_maximal_packing_requires_half_grid():
         min_maximal_packing(2, 3)
 
 
+def test_grid_arguments_are_checked():
+    for n, N in ((-1, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            finite_census(n, N, TORUS)
+    with pytest.raises(ValueError):
+        min_maximal_packing(-1, 2)
+    # dimension 0 and N = 1 are degenerate but valid
+    assert min_maximal_packing(0, 2) == (1, [()])
+    assert sum(r.prob for r in finite_census(2, 1, TORUS)) == 1
+
+
 def test_min_maximal_packing_guard():
     with pytest.raises(ResourceGuardError):
         min_maximal_packing(5, 2)
