@@ -108,6 +108,8 @@ def _build_parser():
                    help="rod tiling with default laminated fillers")
     g.add_argument("--fixture", metavar="NAME",
                    help="a packing from the bundled corpus")
+    p.add_argument("--long-running", action="store_true",
+                   help="lift resource guards")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="re-derive fixture properties")
@@ -224,7 +226,7 @@ def _cmd_construct(args, out):
     elif args.one_factorization is not None:
         p = factorization_packing(one_factorization(args.one_factorization))
     elif args.rod is not None:
-        p = rod_tiling(args.rod)
+        p = rod_tiling(args.rod, allow_large=args.long_running)
     else:
         p = load_fixture(args.fixture)
     out.write(dumps(p, indent=2))

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .census import ResourceGuardError
 from .extend import max_nb_classes
 from .model import (
     TORUS,
@@ -229,7 +230,12 @@ ROD_VECTORS = (
 )
 
 
-def rod_tiling(n, fillers=None):
+# Largest dimension a rod tiling is built in without allow_large; the tiling
+# has 2^n cubes, so this caps it at 4096.
+ROD_MAX_DIM = 12
+
+
+def rod_tiling(n, fillers=None, allow_large=False):
     """Tiling of 8 rods: each rod axis extended by an (n-3)-dim tiling.
 
     Args:
@@ -237,9 +243,15 @@ def rod_tiling(n, fillers=None):
         fillers: 8 torus tilings of dimension n-3, one per rod, each copied
             with independent parameters; defaults to laminated tilings.
             Must be omitted or empty for n = 3.
+        allow_large: lift the default n <= ROD_MAX_DIM guard.
+
+    Raises:
+        ResourceGuardError: if n > ROD_MAX_DIM without allow_large.
     """
     if n < 3:
         raise ConstructionError("rod tilings need dimension >= 3")
+    if n > ROD_MAX_DIM and not allow_large:
+        raise ResourceGuardError(f"rod tiling with 2^{n} cubes")
     k = n - 3
     if k == 0:
         if fillers:

@@ -90,52 +90,81 @@ def _blocked_masks(p, cands):
 def enumerate_extension_classes(p):
     """All classes of cubes non-overlapping with every cube of the packing.
 
+    The candidate masks of one coordinate are pairwise disjoint: a cube
+    holds one code per coordinate, a literal blocks only the cubes holding
+    its opposite, and FRESH blocks none.  So the walk closes each class at
+    the last coordinate without trying its candidates: when every cube is
+    already blocked all of them complete it, otherwise only the candidate
+    owning the lowest unblocked cube can, and it must block the rest too.
+
     Returns:
         Tuple of ExtensionClass in deterministic lexicographic order
         (literal codes ascending, FRESH after literals).  Empty when the
         packing is non-extensible.
     """
+    if p.dim == 0:
+        return () if p.cubes else (ExtensionClass((), 0),)
     cands = _candidates_per_coordinate(p)
     masks = _blocked_masks(p, cands)
     full = (1 << len(p.cubes)) - 1
+    last = p.dim - 1
+    tail, tail_masks = cands[last], masks[last]
+    owner = {}
+    for cand in tail:
+        mask = tail_masks[cand]
+        while mask:
+            low = mask & -mask
+            owner[low] = cand
+            mask ^= low
     out = []
-    chosen = [None] * p.dim
+    chosen = [None] * last
 
-    def walk(j, blocked):
-        if j == p.dim:
+    def walk(j, blocked, nb):
+        if j == last:
             if blocked == full:
-                nb = sum(1 for c in chosen if c == FRESH)
-                out.append(ExtensionClass(tuple(chosen), nb))
+                head = tuple(chosen)
+                for cand in tail:
+                    out.append(ExtensionClass(head + (cand,), nb + (cand == FRESH)))
+                return
+            rest = full ^ blocked
+            cand = owner.get(rest & -rest)
+            if cand is not None and blocked | tail_masks[cand] == full:
+                out.append(ExtensionClass(tuple(chosen) + (cand,), nb))
             return
         for cand in cands[j]:
             chosen[j] = cand
-            walk(j + 1, blocked | masks[j][cand])
-        chosen[j] = None
+            walk(j + 1, blocked | masks[j][cand], nb + (cand == FRESH))
 
-    walk(0, 0)
+    walk(0, 0, 0)
     return tuple(out)
 
 
-def class_size(p, c, N):
-    """Number of discrete realizations of an extension class at resolution N.
+def class_sizes(p, classes, N):
+    """Number of discrete realizations of each class at resolution N.
 
-    Torus: product over fresh coordinates j of (2N - 2 N_j); cube space:
-    (N-1)^nb.  May be zero when the grid is too coarse.
+    Torus: product over fresh coordinates j of (2N - 2 N_j), where N_j
+    counts the parameters coordinate j owns; cube space: (N-1)^nb.  Sizes
+    may be zero when the grid is too coarse.  Returns a tuple in the order
+    of `classes`.
     """
     if p.space == CUBE:
-        return max(0, N - 1) ** c.nb
-    owned = coordinate_params(p)
-    size = 1
-    for j, cand in enumerate(c.coords):
-        if cand == FRESH:
-            size *= max(0, 2 * N - 2 * len(owned[j]))
-    return size
+        base = max(0, N - 1)
+        return tuple(base ** c.nb for c in classes)
+    free = [max(0, 2 * N - 2 * len(s)) for s in coordinate_params(p)]
+    sizes = []
+    for c in classes:
+        size = 1
+        for f, cand in zip(free, c.coords):
+            if cand == FRESH:
+                size *= f
+        sizes.append(size)
+    return tuple(sizes)
 
 
 def finite_step_distribution(p, N):
     """Exact class probabilities at resolution N, proportional to class size."""
     classes = enumerate_extension_classes(p)
-    sizes = [class_size(p, c, N) for c in classes]
+    sizes = class_sizes(p, classes, N)
     total = sum(sizes)
     if classes and total == 0:
         raise DegenerateGridError(f"no extension class has members at N={N}")

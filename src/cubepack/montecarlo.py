@@ -25,7 +25,7 @@ from .census import laminated
 from .extend import (
     FRESH,
     class_representative,
-    class_size,
+    class_sizes,
     enumerate_extension_classes,
 )
 from .model import (
@@ -81,7 +81,7 @@ def _classes(p):
 @lru_cache(maxsize=65536)
 def _class_sizes(p, N):
     classes = _classes(p)
-    sizes = tuple(class_size(p, c, N) for c in classes)
+    sizes = class_sizes(p, classes, N)
     return classes, sizes, sum(sizes)
 
 

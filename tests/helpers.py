@@ -8,7 +8,12 @@ against independent definitions, not against itself.
 from itertools import permutations, product
 
 from cubepack.discrete import grid_overlaps
-from cubepack.extend import class_representative, enumerate_extension_classes
+from cubepack.extend import (
+    FRESH,
+    ExtensionClass,
+    class_representative,
+    enumerate_extension_classes,
+)
 from cubepack.model import (
     CUBE,
     ONE,
@@ -17,6 +22,7 @@ from cubepack.model import (
     add_cube,
     empty_packing,
     is_literal,
+    literal,
     param_of,
 )
 from cubepack.ratfun import Polynomial
@@ -134,16 +140,61 @@ def brute_automorphism_order(p):
     return count
 
 
-def random_packing(rng, space, dim, steps):
+def random_packing(rng, space, dim, steps, classes_of=enumerate_extension_classes):
     """Grow a packing by uniformly random extension classes."""
     p = empty_packing(space, dim)
     for _ in range(steps):
-        classes = enumerate_extension_classes(p)
+        classes = classes_of(p)
         if not classes:
             break
         c = classes[rng.randrange(len(classes))]
         p = add_cube(p, class_representative(p, c))
     return p
+
+
+def _separated(a, b):
+    """Whether coordinate codes a and b of two cubes differ by exactly 1."""
+    if is_literal(a) and is_literal(b):
+        return param_of(a) == param_of(b) and a != b
+    return {a, b} == {ZERO, ONE}
+
+
+def _code_rank(code):
+    """Enumeration order of codes: 0 before 1, literals ascending, FRESH last."""
+    if code == FRESH:
+        return (3, 0)
+    if code == ZERO:
+        return (0, 0)
+    if code == ONE:
+        return (1, 0)
+    return (2, code)
+
+
+def brute_extension_classes(p):
+    """Every extension class by exhaustive product over candidate codes.
+
+    Per coordinate the candidates are both literals of every parameter the
+    cubes use there (torus) or the boundary codes 0 and 1 (cube space), then
+    FRESH; a vector is a class when each cube is separated from it in some
+    non-fresh coordinate.  Sorted lexicographically by code rank.
+    """
+    cands = []
+    for j in range(p.dim):
+        if p.space == TORUS:
+            params = {param_of(cube[j]) for cube in p.cubes}
+            col = [literal(q, s) for q in params for s in (0, 1)]
+        else:
+            col = [ZERO, ONE]
+        cands.append(col + [FRESH])
+    found = []
+    for vec in product(*cands):
+        if all(
+            any(v != FRESH and _separated(v, c) for v, c in zip(vec, cube))
+            for cube in p.cubes
+        ):
+            found.append(vec)
+    found.sort(key=lambda vec: [_code_rank(v) for v in vec])
+    return tuple(ExtensionClass(vec, vec.count(FRESH)) for vec in found)
 
 
 def brute_coordinate_params(p):

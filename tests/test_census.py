@@ -56,6 +56,25 @@ def test_census_n3_types():
     assert best == 4 and len(worst) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_paper_bounds_hold_on_every_positive_class(n):
+    """The paper's parameter bound n(n+1)/2 <= nparams, its conjectured
+    nparams <= 2^n - 1 (checked on these classes, not proved), and its
+    theorem that packings with at least 2^n - 3 cubes are extensible, so no
+    terminal class has m in [2^n - 3, 2^n - 1]."""
+    recs = [r for r in torus_limit_census(n) if r.prob > 0]
+    assert sum(r.prob for r in recs) == 1
+    for r in recs:
+        assert r.nparams == r.rep.nparams
+        assert n * (n + 1) // 2 <= r.nparams <= 2 ** n - 1
+        assert not 2 ** n - 3 <= r.m <= 2 ** n - 1
+    nonextensible = [r.m for r in recs if r.m < 2 ** n]
+    if n == 3:
+        assert min(nonextensible) == 4
+    else:
+        assert nonextensible == []
+
+
 def test_census_n3_known_constructions():
     recs = {r.key.bytes: r for r in census3()}
     lam = canonical_key(laminated_tiling(3)).bytes

@@ -102,6 +102,14 @@ def test_construct_roundtrip():
     code, text = run(["construct", "--rod", "3"])
     assert code == 0
     assert canonical_key(loads(text)) == canonical_key(rod_tiling(3))
+    code, text = run(["construct", "--rod", "6"])
+    assert code == 0 and loads(text) == rod_tiling(6)
+
+
+def test_construct_long_running_lifts_rod_guard():
+    assert run(["construct", "--rod", "13"]) == (2, "")
+    code, text = run(["construct", "--rod", "13", "--long-running"])
+    assert code == 0 and len(json.loads(text)["cubes"]) == 2 ** 13
 
 
 def test_construct_factorization():
@@ -226,6 +234,7 @@ def test_verify_detects_drift(monkeypatch, capsys):
           "--regime", "finite", "--N", "0"], 1),
         (["simulate", "--space", "torus", "--dim", "-1", "--N", "5",
           "--trials", "3", "--seed", "1"], 1),
+        (["construct", "--rod", "100000"], 2),
     ],
 )
 def test_exit_codes(argv, expected, capsys):

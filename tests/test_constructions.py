@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cubepack.canon import are_equivalent, automorphism_order, canonical_key
+from cubepack.census import ResourceGuardError
 from cubepack.constructions import (
     ConstructionError,
+    ROD_MAX_DIM,
     ROD_VECTORS,
     completion_perms,
     dihedral_perms,
@@ -237,6 +239,16 @@ def test_rod_tiling_rejects_bad_input():
         rod_tiling(4, [one_dim_tiling()] * 7)
     with pytest.raises(ConstructionError):
         rod_tiling(5, [one_dim_tiling()] * 8)
+
+
+def test_rod_tiling_size_guard():
+    assert rod_tiling(ROD_MAX_DIM).m == 2 ** ROD_MAX_DIM
+    with pytest.raises(ResourceGuardError):
+        rod_tiling(ROD_MAX_DIM + 1)
+    with pytest.raises(ResourceGuardError):
+        rod_tiling(100000)
+    big = rod_tiling(ROD_MAX_DIM + 1, allow_large=True)
+    assert big.m == 2 ** (ROD_MAX_DIM + 1) and is_tiling(big)
 
 
 def test_rod_recurrence_first_stage():

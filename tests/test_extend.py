@@ -4,15 +4,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import count_addable_positions, random_packing, realize
+from helpers import (
+    brute_extension_classes,
+    count_addable_positions,
+    random_packing,
+    realize,
+)
 
+from cubepack import census
 from cubepack.extend import (
     FREE,
     FRESH,
     Face,
     class_representative,
-    class_size,
+    class_sizes,
     complex_max_dim,
     enumerate_extension_classes,
     finite_step_distribution,
@@ -65,7 +73,8 @@ def test_enumeration_order_is_deterministic_lexicographic():
 
 def test_single_torus_cube_class_sizes_at_n_ten():
     p = make_packing(TORUS, 2, [(T(0), T(1))])
-    sizes = {c.coords: class_size(p, c, 10) for c in enumerate_extension_classes(p)}
+    classes = enumerate_extension_classes(p)
+    sizes = {c.coords: s for c, s in zip(classes, class_sizes(p, classes, 10))}
     assert sizes == {
         (T(0), T(1, 1)): 1,
         (T(0, 1), T(1)): 1,
@@ -197,7 +206,7 @@ def test_class_sizes_partition_all_addable_grid_positions():
             )
             for N in (base + 1, base + 2, base + 3):
                 anchors = realize(p, N)
-                total = sum(class_size(p, c, N) for c in enumerate_extension_classes(p))
+                total = sum(class_sizes(p, enumerate_extension_classes(p), N))
                 assert total == count_addable_positions(anchors, dim, N, space)
 
 
@@ -205,3 +214,32 @@ def _params_per_coord(p, j):
     from cubepack.model import is_literal, param_of
 
     return len({param_of(c[j]) for c in p.cubes if is_literal(c[j])})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    space=st.sampled_from((TORUS, CUBE)),
+    dim=st.integers(0, 4),
+    steps=st.integers(0, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_enumeration_matches_brute_force(space, dim, steps, seed):
+    # grown by the oracle, so the packings do not depend on the walk
+    p = random_packing(random.Random(seed), space, dim, steps,
+                       brute_extension_classes)
+    assert enumerate_extension_classes(p) == brute_extension_classes(p)
+
+
+def test_enumeration_matches_brute_force_on_census_sweep(monkeypatch):
+    # the sweep steps by the oracle, so the packings do not depend on the walk
+    seen = {}
+
+    def record(p):
+        seen[p] = brute_extension_classes(p)
+        return seen[p]
+
+    monkeypatch.setattr(census, "enumerate_extension_classes", record)
+    census.torus_limit_census(3, include_zero_prob=True)
+    assert len(seen) > 100
+    for p, want in seen.items():
+        assert enumerate_extension_classes(p) == want

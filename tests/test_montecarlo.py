@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -108,6 +110,23 @@ def test_determinism_across_runs():
     )
     first = estimate_expectation(cfg, emit_histogram=True)
     assert estimate_expectation(cfg, emit_histogram=True) == first
+
+
+@pytest.mark.parametrize(
+    "space, dim, N, seed, trials, digest",
+    [
+        (TORUS, 4, 50, 1, 40,
+         "b46a076e85d9519ec699cad6374909d0514baae3f1318e28378e1b9cba2a1588"),
+        (CUBE, 3, 7, 2, 50,
+         "8dc393fc9be44504b601552666fbd158bfc2f0fffc60bd6f16587a6820cf01a5"),
+    ],
+)
+def test_draws_are_pinned(space, dim, N, seed, trials, digest):
+    # sha256 of the JSON counts list; any change to the class order, the
+    # class sizes or the member decoding moves it
+    cfg = SimConfig(space=space, dim=dim, N=N, trials=trials, seed=seed)
+    counts = estimate_expectation(cfg).counts
+    assert hashlib.sha256(json.dumps(counts).encode()).hexdigest() == digest
 
 
 def test_counts_are_a_prefix_of_longer_runs():
