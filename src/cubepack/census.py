@@ -2,8 +2,10 @@
 
 Enumerates the reachable equivalence classes together with their exact
 probabilities, either on the torus in the fine-grid limit, in the cube-space
-asymptotic-expansion regime, or on a finite grid.  All probabilities are
-fractions or rational functions; nothing is sampled here.
+asymptotic-expansion regime, or on a finite grid (discrete.finite_census).
+All three run the one breadth-first engine, sweep, and differ only in their
+step rule, merge key and weight: Fractions, path histograms, or rational
+functions of the grid resolution.  Nothing is sampled here.
 """
 
 from __future__ import annotations
@@ -78,14 +80,78 @@ def path_stats(record):
     return tuple(PathStats(h, q) for h, q in record.paths)
 
 
-def _merge_paths(target, hist, weight):
-    target[hist] = target.get(hist, Fraction(0)) + weight
+class _Paths(dict):
+    """A path-tracked weight: per-step new-parameter histogram -> the
+    probability mass arriving through paths with that histogram.  Weights
+    add by merging histograms; the total mass is the probability.
+    """
+
+    def __add__(self, other):
+        out = _Paths(self)
+        for hist, w in other.items():
+            out[hist] = out[hist] + w if hist in out else w
+        return out
+
+    def step(self, nb, share):
+        """The weight after a step of probability share adding nb new
+        parameters."""
+        return _Paths({
+            hist[:nb] + (hist[nb] + 1,) + hist[nb + 1:]: w * share
+            for hist, w in self.items()
+        })
+
+    @property
+    def prob(self):
+        return sum(self.values(), Fraction(0))
 
 
-def _bump(hist, k):
-    out = list(hist)
-    out[k] += 1
-    return tuple(out)
+def sweep(start, key, children, on_level=None, _level_order=None):
+    """Breadth-first sweep of the packing process, one cube per level.
+
+    start is (level, frontier, records), frontier and records mapping a key
+    to a [state, weight] entry.  children(state, weight) returns the
+    (child, weight) pairs of one step, an empty list for a terminal state;
+    key(child) is the child's merge key.  Entries with equal keys merge by
+    adding weights with +, the first arrival stored as is.  A terminal
+    state moves to records under the key it arrived with.  After each level
+    on_level(level, frontier, records) runs, level counting the levels
+    done.  Returns records: every terminal state with its total weight.
+    """
+    level, frontier, records = start
+    while frontier:
+        items = list(frontier.items())
+        if _level_order is not None:
+            _level_order(items)
+        frontier = {}
+        for k, (state, weight) in items:
+            steps = children(state, weight)
+            if not steps:
+                _merge(records, k, state, weight)
+            for child, w in steps:
+                _merge(frontier, key(child), child, w)
+        level += 1
+        if on_level is not None:
+            on_level(level, frontier, records)
+    return records
+
+
+def _merge(table, k, state, weight):
+    entry = table.get(k)
+    if entry is None:
+        table[k] = [state, weight]
+    else:
+        entry[1] = entry[1] + weight
+
+
+def _census_key(p):
+    return canonical_key(p).bytes
+
+
+def _terminal_record(rep, prob, paths=None):
+    return CensusRecord(
+        key=canonical_key(rep), rep=rep, m=rep.m, nparams=rep.nparams,
+        prob=prob, extensible=False, aut=automorphism_order(rep), paths=paths,
+    )
 
 
 def torus_limit_census(
@@ -99,9 +165,9 @@ def torus_limit_census(
 ):
     """All terminal classes of the limit process on the n-torus.
 
-    Runs a breadth-first sweep over cube counts, merging states by canonical
-    key and accumulating exact probabilities, so the result is independent
-    of processing order.
+    Sweeps over cube counts, merging states by canonical key and
+    accumulating exact probabilities, so the result is independent of
+    processing order.
 
     Args:
         n: dimension.
@@ -114,14 +180,18 @@ def torus_limit_census(
             include_zero_prob).
         checkpoint_path: JSON file updated while sweeping and resumed from
             when present.
-        checkpoint_interval: levels between checkpoint writes; the final
-            state is always written.
+        checkpoint_interval: levels between checkpoint writes, at least 1;
+            the final state is always written.
 
     Returns:
         List of CensusRecord sorted by descending probability.
     """
     if n < 0:
         raise ValueError(f"dimension must be >= 0, got {n}")
+    if checkpoint_interval < 1:
+        raise ValueError(
+            f"checkpoint interval must be >= 1, got {checkpoint_interval}"
+        )
     if include_zero_prob and track_paths:
         raise ValueError("path tracking applies to the positive process only")
     limit = 3 if include_zero_prob else 4
@@ -129,66 +199,46 @@ def torus_limit_census(
         raise ResourceGuardError(
             f"dimension {n} census exceeds the default limit {limit}"
         )
-    start_level = 0
-    frontier = {}
-    records = {}
+
+    def children(rep, weight):
+        if include_zero_prob:
+            classes = enumerate_extension_classes(rep)
+            best = max((c.nb for c in classes), default=0)
+            r = sum(1 for c in classes if c.nb == best)
+            steps = [(c, Fraction(1, r) if c.nb == best else Fraction(0))
+                     for c in classes]
+        else:
+            steps = limit_step_distribution(rep)
+        return [
+            (add_cube(rep, class_representative(rep, c)),
+             weight.step(c.nb, share) if track_paths else weight * share)
+            for c, share in steps
+        ]
+
+    def on_level(level, frontier, records):
+        if level % checkpoint_interval == 0 or not frontier:
+            _save_checkpoint(checkpoint_path, n, include_zero_prob,
+                             track_paths, level, frontier, records)
+
     if checkpoint_path is not None and Path(checkpoint_path).exists():
-        start_level, frontier, records = _load_checkpoint(
+        start = _load_checkpoint(
             checkpoint_path, n, include_zero_prob, track_paths
         )
-    if start_level == 0:
+    else:
         p0 = empty_packing(TORUS, n)
-        paths0 = {(0,) * (n + 1): Fraction(1)} if track_paths else None
-        frontier = {canonical_key(p0).bytes: [p0, Fraction(1), paths0]}
-    for level in range(start_level, 2 ** n + 1):
-        if not frontier:
-            break
-        items = list(frontier.values())
-        if _level_order is not None:
-            _level_order(items)
-        frontier = {}
-        for rep, prob, paths in items:
-            for child, share, nb in _limit_steps(rep, include_zero_prob):
-                ckey = canonical_key(child).bytes
-                entry = frontier.get(ckey)
-                if entry is None:
-                    entry = [child, Fraction(0), {} if track_paths else None]
-                    frontier[ckey] = entry
-                entry[1] += prob * share
-                if track_paths and share:
-                    for hist, w in paths.items():
-                        _merge_paths(entry[2], _bump(hist, nb), w * share)
-            if not limit_step_distribution(rep):
-                rkey = canonical_key(rep).bytes
-                entry = records.get(rkey)
-                if entry is None:
-                    entry = [rep, Fraction(0), {} if track_paths else None]
-                    records[rkey] = entry
-                entry[1] += prob
-                if track_paths:
-                    for hist, w in paths.items():
-                        _merge_paths(entry[2], hist, w)
-        if checkpoint_path is not None and (
-            (level + 1) % checkpoint_interval == 0 or not frontier
-        ):
-            _save_checkpoint(
-                checkpoint_path, n, include_zero_prob, track_paths,
-                level + 1, frontier, records,
-            )
-    out = []
-    for rep, prob, paths in records.values():
-        out.append(
-            CensusRecord(
-                key=canonical_key(rep),
-                rep=rep,
-                m=rep.m,
-                nparams=rep.nparams,
-                prob=prob,
-                extensible=False,
-                aut=automorphism_order(rep),
-                paths=_freeze_paths(paths),
-            )
-        )
+        w0 = (_Paths({(0,) * (n + 1): Fraction(1)}) if track_paths
+              else Fraction(1))
+        start = (0, {_census_key(p0): [p0, w0]}, {})
+    records = sweep(
+        start, _census_key, children,
+        on_level=None if checkpoint_path is None else on_level,
+        _level_order=_level_order,
+    )
+    out = [
+        _terminal_record(rep, weight.prob, tuple(sorted(weight.items())))
+        if track_paths else _terminal_record(rep, weight)
+        for rep, weight in records.values()
+    ]
     out.sort(key=lambda r: (-r.prob, r.m, r.nparams, r.key.bytes))
     total = sum(r.prob for r in out)
     if total != 1:
@@ -196,35 +246,13 @@ def torus_limit_census(
     return out
 
 
-def _limit_steps(p, include_zero_prob):
-    """Yield (child, probability share, new-parameter count) per class."""
-    if include_zero_prob:
-        classes = enumerate_extension_classes(p)
-        if not classes:
-            return
-        best = max(c.nb for c in classes)
-        r = sum(1 for c in classes if c.nb == best)
-        for c in classes:
-            share = Fraction(1, r) if c.nb == best else Fraction(0)
-            yield add_cube(p, class_representative(p, c)), share, c.nb
-    else:
-        for c, share in limit_step_distribution(p):
-            yield add_cube(p, class_representative(p, c)), share, c.nb
-
-
-def _freeze_paths(paths):
-    if paths is None:
-        return None
-    return tuple(sorted(paths.items()))
-
-
 def _save_checkpoint(path, n, zero, tracked, level, frontier, records):
     def enc(entry):
-        rep, prob, paths = entry
-        enc_paths = None
-        if paths is not None:
-            enc_paths = [[list(h), str(w)] for h, w in sorted(paths.items())]
-        return [to_json_obj(rep), str(prob), enc_paths]
+        rep, weight = entry
+        if not tracked:
+            return [to_json_obj(rep), str(weight), None]
+        paths = [[list(h), str(w)] for h, w in sorted(weight.items())]
+        return [to_json_obj(rep), str(weight.prob), paths]
 
     blob = {
         "schema_version": 1,
@@ -251,22 +279,18 @@ def _load_checkpoint(path, n, zero, tracked):
     ):
         raise ValueError(f"checkpoint {path} does not match this census")
 
-    def dec(entry):
-        obj, prob, paths = entry
-        dec_paths = None
-        if paths is not None:
-            dec_paths = {tuple(h): Fraction(w) for h, w in paths}
-        return [from_json_obj(obj), Fraction(prob), dec_paths]
+    def dec(entries):
+        table = {}
+        for obj, prob, paths in entries:
+            rep = from_json_obj(obj)
+            if paths is None:
+                weight = Fraction(prob)
+            else:
+                weight = _Paths({tuple(h): Fraction(w) for h, w in paths})
+            table[_census_key(rep)] = [rep, weight]
+        return table
 
-    frontier = {}
-    records = {}
-    for entry in blob["frontier"]:
-        e = dec(entry)
-        frontier[canonical_key(e[0]).bytes] = e
-    for entry in blob["records"]:
-        e = dec(entry)
-        records[canonical_key(e[0]).bytes] = e
-    return blob["level"], frontier, records
+    return blob["level"], dec(blob["frontier"]), dec(blob["records"])
 
 
 def expected_cubes_limit(n, census=None):
@@ -386,37 +410,24 @@ def cube_expansion(n, order, allow_long=False, return_records=False):
         raise ValueError(f"expansion order must be >= 0, got {order}")
     if order > 4 and not allow_long:
         raise ResourceGuardError(f"expansion order {order} needs the long flag")
+
+    def children(rep, prob):
+        classes = enumerate_extension_classes(rep)
+        if not classes:
+            return []
+        budget = order - prob.order_at_infinity()
+        dmax = max(c.nb for c in classes)
+        kept = [c for c in classes if dmax - c.nb <= budget]
+        weights = {nb: (X - 1) ** nb for nb in {c.nb for c in kept}}
+        den = sum(weights[c.nb] for c in kept)
+        shares = {nb: RationalFunction(w, den) for nb, w in weights.items()}
+        return [(add_cube(rep, class_representative(rep, c)),
+                 prob * shares[c.nb]) for c in kept]
+
     one = ratfun(1)
     p0 = empty_packing(CUBE, n)
-    frontier = {canonical_key(p0).bytes: [p0, one]}
-    records = {}
-    while frontier:
-        nxt = {}
-        for rep, prob in frontier.values():
-            classes = enumerate_extension_classes(rep)
-            if not classes:
-                entry = records.get(canonical_key(rep).bytes)
-                if entry is None:
-                    records[canonical_key(rep).bytes] = [rep, prob]
-                else:
-                    entry[1] = entry[1] + prob
-                continue
-            budget = order - prob.order_at_infinity()
-            dmax = max(c.nb for c in classes)
-            kept = [c for c in classes if dmax - c.nb <= budget]
-            weights = {nb: (X - 1) ** nb for nb in {c.nb for c in kept}}
-            den = sum(weights[c.nb] for c in kept)
-            shares = {nb: RationalFunction(w, den) for nb, w in weights.items()}
-            for c in kept:
-                share = shares[c.nb]
-                child = add_cube(rep, class_representative(rep, c))
-                ckey = canonical_key(child).bytes
-                entry = nxt.get(ckey)
-                if entry is None:
-                    nxt[ckey] = [child, prob * share]
-                else:
-                    entry[1] = entry[1] + prob * share
-        frontier = nxt
+    start = (0, {_census_key(p0): [p0, one]}, {})
+    records = sweep(start, _census_key, children)
     total = sum(prob for _, prob in records.values())
     if total != one:
         raise AssertionError("expansion mass is not 1")
@@ -424,18 +435,7 @@ def cube_expansion(n, order, allow_long=False, return_records=False):
     series = expand(emean, order)
     if not return_records:
         return series
-    out = [
-        CensusRecord(
-            key=canonical_key(rep),
-            rep=rep,
-            m=rep.m,
-            nparams=rep.nparams,
-            prob=prob,
-            extensible=False,
-            aut=automorphism_order(rep),
-        )
-        for rep, prob in records.values()
-    ]
+    out = [_terminal_record(rep, prob) for rep, prob in records.values()]
     out.sort(key=lambda r: (r.prob.order_at_infinity(), r.m, r.key.bytes))
     return series, out
 
@@ -494,22 +494,3 @@ def closed_form_expansion_polys():
         points = [(n, series[n].coeffs[k]) for n in range(1, 6)]
         polys.append(interpolate(points, k))
     return polys
-
-
-def finite_N_census(n, N, space=TORUS, allow_large=False):
-    """Census of the process on the finite (1/N)-grid.
-
-    Probabilities are accumulated over discrete packings up to grid
-    symmetry (coordinate permutations, per-coordinate grid translations on
-    the torus, and reflections); the reported classes additionally merge
-    states whose pairwise blocking-count structures agree, the calibrated
-    classification that matches the published half-step counts.
-
-    Returns:
-        List of CensusRecord sorted by descending probability; rep is the
-        combinatorial type of a class representative and aut the order of
-        its discrete stabilizer.
-    """
-    from . import discrete
-
-    return discrete.finite_census(n, N, space, allow_large=allow_large)

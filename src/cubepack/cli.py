@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .canon import automorphism_order, canonical_key
 from .census import (
     ResourceGuardError,
-    finite_N_census,
     interpolate_Ck,
     positive_path_exists,
     torus_limit_census,
@@ -35,6 +35,7 @@ from .constructions import (
     product,
     rod_tiling,
 )
+from .discrete import finite_census
 from .extend import is_extensible
 from .model import CUBE, TORUS, dumps, is_tiling, load_file, validate
 from .montecarlo import SimConfig, estimate_expectation
@@ -71,8 +72,8 @@ def _build_parser():
                    help="lift resource guards")
     p.add_argument("--checkpoint", metavar="PATH",
                    help="resumable sweep state file")
-    p.add_argument("--checkpoint-interval", type=int, default=1,
-                   metavar="LEVELS")
+    p.add_argument("--checkpoint-interval", type=int, metavar="LEVELS",
+                   help="levels between checkpoint writes (default 1)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -148,7 +149,20 @@ def _emit_census(records, fmt, out):
 
 
 def _cmd_enumerate(args, out):
-    if args.regime == "limit":
+    finite = args.regime == "finite"
+    for given, message in (
+        (args.N is not None and not finite,
+         "--N applies to the finite regime only"),
+        (args.include_zero_prob and finite,
+         "--include-zero-prob applies to the limit regime only"),
+        (args.checkpoint is not None and finite,
+         "--checkpoint applies to the limit regime only"),
+        (args.checkpoint_interval is not None and args.checkpoint is None,
+         "--checkpoint-interval needs --checkpoint"),
+    ):
+        if given:
+            raise UsageError(message)
+    if not finite:
         if args.space != TORUS:
             raise UsageError("the limit census is defined on the torus; "
                              "use expand for cube-space asymptotics")
@@ -157,12 +171,13 @@ def _cmd_enumerate(args, out):
             include_zero_prob=args.include_zero_prob,
             allow_large=args.long_running,
             checkpoint_path=args.checkpoint,
-            checkpoint_interval=args.checkpoint_interval,
+            checkpoint_interval=(1 if args.checkpoint_interval is None
+                                 else args.checkpoint_interval),
         )
     else:
         if args.N is None:
             raise UsageError("the finite regime needs --N")
-        records = finite_N_census(
+        records = finite_census(
             args.dim, args.N, space=args.space,
             allow_large=args.long_running,
         )
@@ -368,7 +383,15 @@ def run(argv, out=None):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # flush at interpreter exit cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

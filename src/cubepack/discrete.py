@@ -6,8 +6,10 @@ permutations, per-coordinate translations on the torus, reflections).  The
 census classes are one step coarser: terminal states merge when a cube
 bijection preserves each pair's number of blocking coordinates, the
 classification calibrated against the published half-step counts.  The
-heavy steps (canonical forms, the minimal-maximal-packing search) are the
-kernels in backend.
+census runs the sweep engine it shares with the limit census and the cube
+expansion (census.sweep), with grid states as keys.  The heavy steps
+(canonical forms, the minimal-maximal-packing search) are the kernels in
+backend.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import backend
 from .canon import CanonicalKey
-from .census import CensusRecord, ResourceGuardError
+from .census import CensusRecord, ResourceGuardError, sweep
 from .model import TORUS, phi
 
 
@@ -163,7 +165,13 @@ def _check_grid(n, N):
 
 
 def finite_census(n, N, space=TORUS, allow_large=False):
-    """Census of terminal discrete packings with exact probabilities."""
+    """Census of terminal discrete packings with exact probabilities.
+
+    Returns:
+        List of CensusRecord sorted by descending probability; rep is the
+        combinatorial type of a class representative and aut the order of
+        its discrete stabilizer.
+    """
     _check_grid(n, N)
     npos = (2 * N) ** n if space == TORUS else (N + 1) ** n
     if npos > 64 and not allow_large:
@@ -172,30 +180,26 @@ def finite_census(n, N, space=TORUS, allow_large=False):
     balls = _ball_masks(positions, n, N, space)
     group = symmetry_group(n, N, space)
     full = (1 << npos) - 1
-    frontier = {(): Fraction(1)}
-    records = {}
-    while frontier:
-        nxt = {}
-        for state, prob in frontier.items():
-            covered = 0
-            for i in state:
-                covered |= balls[i]
-            addable = full & ~covered
-            if addable == 0:
-                records[state] = records.get(state, Fraction(0)) + prob
-                continue
-            share = Fraction(1, addable.bit_count())
-            while addable:
-                v = (addable & -addable).bit_length() - 1
-                addable &= addable - 1
-                child = backend.canonical_state(
-                    group, tuple(sorted(state + (v,)))
-                )
-                nxt[child] = nxt.get(child, Fraction(0)) + prob * share
-        frontier = nxt
+
+    def children(state, prob):
+        covered = 0
+        for i in state:
+            covered |= balls[i]
+        addable = full & ~covered
+        if addable == 0:
+            return []
+        share = Fraction(1, addable.bit_count())
+        out = []
+        while addable:
+            v = (addable & -addable).bit_length() - 1
+            addable &= addable - 1
+            child = backend.canonical_state(group, tuple(sorted(state + (v,))))
+            out.append((child, prob * share))
+        return out
+
+    records = sweep((0, {(): [(), Fraction(1)]}, {}), lambda s: s, children)
     classes = {}
-    for state in sorted(records):
-        prob = records[state]
+    for state, (_, prob) in sorted(records.items()):
         anchors = [positions[i] for i in state]
         key = blocking_class_key(anchors, n, N, space)
         if key.bytes in classes:

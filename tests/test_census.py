@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -123,6 +125,72 @@ def test_census_checkpoint_resume(tmp_path):
         torus_limit_census(2, checkpoint_path=path)
 
 
+def test_census_rejects_bad_checkpoint_interval(tmp_path):
+    for interval in (0, -1):
+        with pytest.raises(ValueError):
+            torus_limit_census(2, checkpoint_path=tmp_path / "c.json",
+                               checkpoint_interval=interval)
+    assert not (tmp_path / "c.json").exists()
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _count_levels(calls, stop_at=None):
+    """A _level_order hook that counts levels and aborts the sweep at level
+    stop_at (1-based)."""
+
+    def hook(items):
+        calls.append(len(items))
+        if len(calls) == stop_at:
+            raise _Interrupted
+
+    return hook
+
+
+# sha256 of the checkpoint files as written before the censuses shared
+# census.sweep; files in this layout (schema_version 1) must keep resuming.
+# The interrupted files pin the frontier encoding; a finished file has an
+# empty frontier.
+@pytest.mark.parametrize("track_paths, digest", [
+    (False, "134b2bc299752582d4664be28ae267997eea3a7030b2b91d69b01d76f806ee4d"),
+    (True, "fa08b08be9f09befd4fed7e200c41ab0bf1fe115c9c920050fe87e2770ec6764"),
+])
+def test_census_resumes_mid_sweep(tmp_path, track_paths, digest):
+    path = tmp_path / "census3.json"
+    with pytest.raises(_Interrupted):
+        torus_limit_census(3, track_paths=track_paths, checkpoint_path=path,
+                           _level_order=_count_levels([], stop_at=5))
+    assert json.loads(path.read_text())["level"] == 4
+    assert _sha256(path) == digest
+    full_levels, resumed_levels = [], []
+    full = torus_limit_census(3, track_paths=track_paths,
+                              _level_order=_count_levels(full_levels))
+    resumed = torus_limit_census(3, track_paths=track_paths,
+                                 checkpoint_path=path,
+                                 _level_order=_count_levels(resumed_levels))
+    assert resumed_levels == full_levels[4:]
+    assert [(r.key.bytes, r.prob, r.paths) for r in resumed] == [
+        (r.key.bytes, r.prob, r.paths) for r in full
+    ]
+
+
+@pytest.mark.parametrize("kwargs, digest", [
+    ({}, "b54f93b9a7117254516bd81313815c2b341a09b7bec7ab375bd7deb97df948f8"),
+    (dict(track_paths=True, checkpoint_interval=2),
+     "d238922eaa0c4b82a03ae892c4e52d04768499bceea226af6c5f1a24e26fc514"),
+])
+def test_finished_checkpoint_bytes_are_pinned(tmp_path, kwargs, digest):
+    path = tmp_path / "census3.json"
+    torus_limit_census(3, checkpoint_path=path, **kwargs)
+    assert _sha256(path) == digest
+
+
 def test_tracked_paths_consistent():
     recs = torus_limit_census(3, track_paths=True)
     for r in recs:
@@ -211,6 +279,21 @@ def test_cube_expansion_rejects_negative_order():
         cube_expansion(2, -1)
     with pytest.raises(ValueError):
         interpolate_Ck(-1, [1, 2, 3])
+
+
+# sha256 of the terminal records of cube_expansion(n, 4) for n = 0..5, as
+# computed before the censuses shared census.sweep.
+EXPANSION_RECORDS_DIGEST = "1042ab15feb0a5da4bde588a3983837ea6850e508f20308e6dc6e5b486da3462"
+
+
+def test_cube_expansion_records_are_pinned():
+    rows = []
+    for n in range(6):
+        _, recs = cube_expansion(n, 4, return_records=True)
+        rows += [[n, r.key.bytes.hex(), r.m, r.nparams,
+                  [list(r.prob.num), list(r.prob.den)], r.aut] for r in recs]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == EXPANSION_RECORDS_DIGEST
 
 
 def test_cube_expansion_type_counts():

@@ -235,12 +235,40 @@ def test_verify_detects_drift(monkeypatch, capsys):
         (["simulate", "--space", "torus", "--dim", "-1", "--N", "5",
           "--trials", "3", "--seed", "1"], 1),
         (["construct", "--rod", "100000"], 2),
+        (["enumerate", "--space", "torus", "--dim", "2", "--regime", "finite",
+          "--N", "2", "--checkpoint", "no/such/dir/ck.json"], 1),
+        (["enumerate", "--space", "torus", "--dim", "2", "--regime", "finite",
+          "--N", "2", "--include-zero-prob"], 1),
+        (["enumerate", "--space", "torus", "--dim", "2", "--N", "2"], 1),
+        (["enumerate", "--space", "torus", "--dim", "2",
+          "--checkpoint-interval", "2"], 1),
+        (["enumerate", "--space", "torus", "--dim", "2",
+          "--checkpoint", "no/such/dir/ck.json",
+          "--checkpoint-interval", "0"], 1),
     ],
 )
 def test_exit_codes(argv, expected, capsys):
     code, _ = run(argv)
     assert code == expected
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails however fast it runs.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubepack", "construct", "--rod", "6"],
+            cwd=ROOT, env=env, stdout=write_end, stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_python_m_entry_point():

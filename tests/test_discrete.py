@@ -1,8 +1,10 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from cubepack.census import ResourceGuardError, finite_N_census
+from cubepack.census import ResourceGuardError
 from cubepack.discrete import (
     blocking_class_key,
     blocking_counts,
@@ -46,7 +48,7 @@ def test_blocking_class_key_invariance():
 
 def test_finite_census_torus_table_counts():
     for n, tilings, packings in ((1, 1, 0), (2, 2, 0), (3, 8, 1)):
-        recs = finite_N_census(n, 2)
+        recs = finite_census(n, 2)
         til = [r for r in recs if r.m == 2 ** n]
         non = [r for r in recs if r.m < 2 ** n]
         assert len(til) == tilings
@@ -56,9 +58,24 @@ def test_finite_census_torus_table_counts():
 
 
 def test_finite_census_torus_n3_packing_class():
-    recs = finite_N_census(3, 2)
+    recs = finite_census(3, 2)
     non = [r for r in recs if r.m < 8]
     assert len(non) == 1 and non[0].m == 4 and non[0].nparams == 6
+
+
+# sha256 of the census rows below as computed before the censuses shared
+# census.sweep.  The classes are the blocking-count classes of
+# blocking_class_key; a change of classification re-pins this digest.
+BLOCKING_COUNT_ROWS_DIGEST = "1343428030d77dff7d46c445bbd734cb81d49267f1e65f0eb74f985a5f679ab4"
+
+
+def test_blocking_count_classification_is_pinned():
+    rows = []
+    for n, N, space in ((3, 2, TORUS), (3, 2, CUBE), (2, 3, TORUS)):
+        rows += [[n, N, space, r.key.bytes.hex(), r.m, r.nparams, str(r.prob),
+                  r.aut] for r in finite_census(n, N, space)]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == BLOCKING_COUNT_ROWS_DIGEST
 
 
 def test_finite_census_cube_line():
