@@ -2,10 +2,12 @@
 
 Enumerates the reachable equivalence classes together with their exact
 probabilities, either on the torus in the fine-grid limit, in the cube-space
-asymptotic-expansion regime, or on a finite grid (discrete.finite_census).
-All three run the one breadth-first engine, sweep, and differ only in their
-step rule, merge key and weight: Fractions, path histograms, or rational
-functions of the grid resolution.  Nothing is sampled here.
+asymptotic-expansion regime, or on a finite grid (discrete.finite_census),
+and decides whether a packing is reached along a positive path
+(positive_path_exists).  All four run the one breadth-first engine, sweep,
+and differ only in their step rule, merge key and weight: Fractions, path
+histograms, rational functions of the grid resolution, or counts of
+positive insertion orders.  Nothing is sampled here.
 """
 
 from __future__ import annotations
@@ -272,12 +274,16 @@ def _save_checkpoint(path, n, zero, tracked, level, frontier, records):
 def _load_checkpoint(path, n, zero, tracked):
     blob = json.loads(Path(path).read_text())
     if (
-        blob.get("regime") != "limit"
+        not isinstance(blob, dict)
+        or blob.get("regime") != "limit"
         or blob.get("n") != n
         or blob.get("include_zero_prob") != zero
         or blob.get("track_paths") != tracked
     ):
         raise ValueError(f"checkpoint {path} does not match this census")
+    for field in ("level", "frontier", "records"):
+        if field not in blob:
+            raise ValueError(f"checkpoint {path} lacks the field {field!r}")
 
     def dec(entries):
         table = {}
@@ -316,19 +322,19 @@ def laminated_mass(records):
     return sum((r.prob for r in records if laminated(r.rep)), Fraction(0))
 
 
-def _new_param_count(sets, cube):
-    fresh = set()
-    for j, code in enumerate(cube):
-        if is_literal(code) and param_of(code) not in sets[j]:
-            fresh.add((j, param_of(code)))
-    return len(fresh)
-
-
-def _max_newparams(p):
-    if p.m == 0:
-        return p.dim
-    classes = max_nb_classes(p)
-    return classes[0].nb if classes else None
+def _positive_cubes(sub, cubes):
+    """The keys k of cubes, a {k: cube} map, whose insertion into sub is a
+    positive step: the cube adds as many fresh parameters as the best
+    extension class of sub.  None when sub is non-extensible."""
+    classes = max_nb_classes(sub)
+    if not classes:
+        return []
+    sets = coordinate_params(sub)
+    return [
+        k for k, cube in cubes.items()
+        if sum(is_literal(c) and param_of(c) not in s
+               for c, s in zip(cube, sets)) == classes[0].nb
+    ]
 
 
 def replay_is_positive(p, order=None):
@@ -343,10 +349,7 @@ def replay_is_positive(p, order=None):
         raise ValueError("order must be a permutation of the cube indices")
     sub = empty_packing(p.space, p.dim)
     for i in idx:
-        best = _max_newparams(sub)
-        if best is None:
-            return False
-        if _new_param_count(coordinate_params(sub), p.cubes[i]) != best:
+        if not _positive_cubes(sub, {i: p.cubes[i]}):
             return False
         sub = add_cube(sub, p.cubes[i])
     return True
@@ -355,32 +358,24 @@ def replay_is_positive(p, order=None):
 def positive_path_exists(p, allow_large=False):
     """Whether any insertion order of p's cubes is a positive path.
 
-    Walks the lattice of cube subsets level by level, so all m! orders are
+    Sweeps the lattice of cube subsets, states keyed by their cube mask and
+    weighted by their number of positive orders, so all m! orders are
     covered at 2^m cost.
     """
     if p.m > 16 and not allow_large:
         raise ResourceGuardError(f"subset walk over 2^{p.m} states")
-    m = p.m
-    level = {0}
-    for size in range(m):
-        nxt = set()
-        for mask in level:
-            sub = empty_packing(p.space, p.dim)
-            for i in range(m):
-                if mask >> i & 1:
-                    sub = add_cube(sub, p.cubes[i])
-            best = _max_newparams(sub)
-            if best is None:
-                continue
-            sets = coordinate_params(sub)
-            for i in range(m):
-                if not mask >> i & 1:
-                    if _new_param_count(sets, p.cubes[i]) == best:
-                        nxt.add(mask | 1 << i)
-        level = nxt
-        if not level:
-            return False
-    return (1 << m) - 1 in level
+    full = (1 << p.m) - 1
+
+    def children(state, count):
+        mask, sub = state
+        rest = {i: p.cubes[i] for i in range(p.m) if not mask >> i & 1}
+        if not rest:
+            return []
+        return [((mask | 1 << i, add_cube(sub, p.cubes[i])), count)
+                for i in _positive_cubes(sub, rest)]
+
+    start = (0, {0: [(0, empty_packing(p.space, p.dim)), 1]}, {})
+    return full in sweep(start, lambda state: state[0], children)
 
 
 def cube_expansion(n, order, allow_long=False, return_records=False):
@@ -485,12 +480,9 @@ def closed_form_expansion_polys():
     most 2 in n, fitted through five dimensions with the spare points
     checked.
     """
-    series = {}
-    for n in range(1, 6):
-        f = ratfun(1) + ratfun(2 * n, X + 1) + ratfun(4 * n * (n - 1), (X + 1) ** 2)
-        series[n] = expand(f, 2)
-    polys = []
-    for k in range(3):
-        points = [(n, series[n].coeffs[k]) for n in range(1, 6)]
-        polys.append(interpolate(points, k))
-    return polys
+    series = {
+        n: expand(ratfun(1) + ratfun(2 * n, X + 1)
+                  + ratfun(4 * n * (n - 1), (X + 1) ** 2), 2)
+        for n in range(1, 6)
+    }
+    return interpolate_Ck(2, range(1, 6), expansions=series)

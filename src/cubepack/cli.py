@@ -25,6 +25,7 @@ from .census import (
     torus_limit_census,
 )
 from .constructions import (
+    ROD_MAX_DIM,
     ConstructionError,
     factorization_packing,
     fixtures,
@@ -43,6 +44,9 @@ from .ratfun import format_polynomial
 
 SCHEMA_VERSION = 1
 CENSUS_COLUMNS = ("key", "m", "nparams", "prob", "extensible", "aut")
+# Coordinate codes (cubes x coordinates) a construction may hold without
+# --long-running: those of the largest default rod tiling.
+MAX_CONSTRUCT_CODES = 2 ** ROD_MAX_DIM * ROD_MAX_DIM
 
 
 class UsageError(Exception):
@@ -231,15 +235,28 @@ def _cmd_simulate(args, out):
     return 0
 
 
+def _check_construct_size(cubes, dim, args):
+    # negative sizes fall through to the constructions' own checks
+    if (min(cubes, dim) > 0 and cubes * dim > MAX_CONSTRUCT_CODES
+            and not args.long_running):
+        raise ResourceGuardError(
+            f"packing with {cubes} cubes of dimension {dim} exceeds "
+            f"{MAX_CONSTRUCT_CODES} coordinate codes"
+        )
+
+
 def _cmd_construct(args, out):
     if args.product is not None:
         p = product(load_file(args.product[0]), load_file(args.product[1]))
     elif args.hmatrix is not None:
+        _check_construct_size(args.hmatrix, args.hmatrix, args)
         p = h_matrix(args.hmatrix)
     elif args.hn_tiling is not None:
         p = hn_tiling(args.hn_tiling)
     elif args.one_factorization is not None:
-        p = factorization_packing(one_factorization(args.one_factorization))
+        v = args.one_factorization
+        _check_construct_size(v, v - 1, args)
+        p = factorization_packing(one_factorization(v))
     elif args.rod is not None:
         p = rod_tiling(args.rod, allow_large=args.long_running)
     else:

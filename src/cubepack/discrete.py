@@ -22,27 +22,12 @@ import numpy as np
 from . import backend
 from .canon import CanonicalKey
 from .census import CensusRecord, ResourceGuardError, sweep
-from .model import TORUS, phi
+from .model import TORUS, grid_overlaps, phi_grid
 
 
 def grid_positions(n, N, space):
     axis = range(2 * N) if space == TORUS else range(N + 1)
     return [tuple(v) for v in iproduct(axis, repeat=n)]
-
-
-def grid_overlaps(a, b, N, space):
-    """Whether the grid-anchored cubes at a and b overlap."""
-    if space == TORUS:
-        return all((x - y) % (2 * N) != N for x, y in zip(a, b))
-    return all({x, y} != {0, N} for x, y in zip(a, b))
-
-
-def _position_index(pos, n, N, space):
-    base = 2 * N if space == TORUS else N + 1
-    idx = 0
-    for v in pos:
-        idx = idx * base + v
-    return idx
 
 
 def _ball_masks(positions, n, N, space):
@@ -202,19 +187,16 @@ def finite_census(n, N, space=TORUS, allow_large=False):
     for state, (_, prob) in sorted(records.items()):
         anchors = [positions[i] for i in state]
         key = blocking_class_key(anchors, n, N, space)
+        rep = phi_grid(anchors, N, space)
         if key.bytes in classes:
             rec = classes[key.bytes]
-            if rec.m != len(state) or rec.nparams != phi(
-                [tuple(Fraction(v, N) for v in a) for a in anchors], N, space
-            ).nparams:
+            if rec.m != len(state) or rec.nparams != rep.nparams:
                 raise AssertionError("blocking classes merged unequal shapes")
             classes[key.bytes] = CensusRecord(
                 key=rec.key, rep=rec.rep, m=rec.m, nparams=rec.nparams,
                 prob=rec.prob + prob, extensible=rec.extensible, aut=rec.aut,
             )
             continue
-        vecs = [tuple(Fraction(v, N) for v in a) for a in anchors]
-        rep = phi(vecs, N, space)
         classes[key.bytes] = CensusRecord(
             key=key,
             rep=rep,

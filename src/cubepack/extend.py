@@ -17,6 +17,7 @@ from .model import (
     TORUS,
     ZERO,
     add_cube,
+    code_to_json,
     coordinate_params,
     literal,
     opposite,
@@ -298,14 +299,4 @@ def complex_max_dim(faces):
 
 
 def serialize_class(c):
-    out = []
-    for cand in c.coords:
-        if cand == FRESH:
-            out.append("*")
-        elif cand == ZERO:
-            out.append(0)
-        elif cand == ONE:
-            out.append(1)
-        else:
-            out.append({"p": param_of(cand), "s": cand & 1})
-    return out
+    return [FRESH if cand == FRESH else code_to_json(cand) for cand in c.coords]

@@ -216,7 +216,7 @@ def phi_grid(kvecs, N, space):
         raise DimensionError("empty discrete packing has no dimension")
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            if not _grid_nonoverlap(rows[i], rows[j], N, space):
+            if grid_overlaps(rows[i], rows[j], N, space):
                 raise InvalidDiscretePackingError(f"discrete cubes {i} and {j} overlap")
     params = {}
     cubes = []
@@ -243,10 +243,11 @@ def phi_grid(kvecs, N, space):
     return make_packing(space, n, cubes)
 
 
-def _grid_nonoverlap(a, b, N, space):
-    if space == CUBE:
-        return any({x, y} == {0, N} for x, y in zip(a, b))
-    return any((x - y) % (2 * N) == N for x, y in zip(a, b))
+def grid_overlaps(a, b, N, space):
+    """Whether the grid-anchored cubes at a and b overlap."""
+    if space == TORUS:
+        return all((x - y) % (2 * N) != N for x, y in zip(a, b))
+    return all({x, y} != {0, N} for x, y in zip(a, b))
 
 
 def phi(discrete, N, space):
@@ -276,38 +277,62 @@ def phi(discrete, N, space):
     return phi_grid(kvecs, N, space)
 
 
+def code_to_json(code):
+    """JSON form of one coordinate code: 0, 1, or {"p": param, "s": shift}."""
+    if code == ZERO:
+        return 0
+    if code == ONE:
+        return 1
+    return {"p": param_of(code), "s": shift_of(code)}
+
+
 def to_json_obj(p):
-    cubes = []
-    for cube in p.cubes:
-        row = []
-        for code in cube:
-            if code == ZERO:
-                row.append(0)
-            elif code == ONE:
-                row.append(1)
-            else:
-                row.append({"p": param_of(code), "s": shift_of(code)})
-        cubes.append(row)
+    cubes = [[code_to_json(code) for code in cube] for cube in p.cubes]
     return {"space": p.space, "dim": p.dim, "cubes": cubes}
 
 
 def from_json_obj(obj):
-    space = obj["space"]
-    dim = obj["dim"]
+    """The Packing of a JSON object as written by to_json_obj.
+
+    Raises:
+        ValueError: naming the first missing or ill-typed field.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"packing JSON must be an object, got {type(obj).__name__}")
+    for field in ("space", "dim", "cubes"):
+        if field not in obj:
+            raise ValueError(f"packing JSON lacks the field {field!r}")
+    if not _is_int(obj["dim"]):
+        raise ValueError(f"packing JSON field 'dim' is not an integer: {obj['dim']!r}")
+    if not isinstance(obj["cubes"], list):
+        raise ValueError("packing JSON field 'cubes' is not a list")
     cubes = []
-    for row in obj["cubes"]:
-        cube = []
-        for c in row:
-            if c == 0:
-                cube.append(ZERO)
-            elif c == 1:
-                cube.append(ONE)
-            elif isinstance(c, dict):
-                cube.append(literal(int(c["p"]), int(c["s"])))
-            else:
-                raise ValueError(f"bad coordinate {c!r} in packing JSON")
-        cubes.append(tuple(cube))
-    return make_packing(space, dim, cubes)
+    for i, row in enumerate(obj["cubes"]):
+        if not isinstance(row, list):
+            raise ValueError(f"packing JSON cube {i} is not a list")
+        cubes.append(tuple(_code_from_json(c) for c in row))
+    return make_packing(obj["space"], obj["dim"], cubes)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _code_from_json(c):
+    if c == 0:
+        return ZERO
+    if c == 1:
+        return ONE
+    if not isinstance(c, dict):
+        raise ValueError(f"bad coordinate {c!r} in packing JSON")
+    for field in ("p", "s"):
+        if field not in c:
+            raise ValueError(f"literal {c!r} in packing JSON lacks the field {field!r}")
+    if not _is_int(c["p"]) or c["p"] < 0:
+        raise ValueError(f"literal {c!r} in packing JSON: 'p' is not an integer >= 0")
+    if c["s"] not in (0, 1):
+        raise ValueError(f"literal {c!r} in packing JSON: 's' is not 0 or 1")
+    return literal(c["p"], int(c["s"]))
 
 
 def dumps(p, indent=None):

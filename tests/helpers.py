@@ -197,6 +197,39 @@ def brute_extension_classes(p):
     return tuple(ExtensionClass(vec, vec.count(FRESH)) for vec in found)
 
 
+def brute_positive_orders(p):
+    """The insertion orders of p's cubes that are positive paths.
+
+    Tries every permutation; a step is positive when the inserted cube adds
+    as many fresh parameters as the best class of brute_extension_classes
+    on the prefix.  Prefixes are memoized by their cube set.
+    """
+    best = {}
+
+    def best_nb(prefix):
+        key = frozenset(prefix)
+        if key not in best:
+            sub = empty_packing(p.space, p.dim)
+            for i in sorted(key):
+                sub = add_cube(sub, p.cubes[i])
+            best[key] = (max((c.nb for c in brute_extension_classes(sub)),
+                             default=None),
+                         brute_coordinate_params(sub))
+        return best[key]
+
+    orders = []
+    for order in permutations(range(p.m)):
+        for k, i in enumerate(order):
+            nb, sets = best_nb(order[:k])
+            fresh = sum(is_literal(code) and param_of(code) not in sets[j]
+                        for j, code in enumerate(p.cubes[i]))
+            if fresh != nb:
+                break
+        else:
+            orders.append(order)
+    return orders
+
+
 def brute_coordinate_params(p):
     """Per-coordinate sets of parameters, read off the cubes' literal codes."""
     return [

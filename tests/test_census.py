@@ -2,8 +2,14 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from helpers import (
+    brute_extension_classes,
+    brute_positive_orders,
+    random_packing,
+)
 
 from cubepack.canon import canonical_key
 from cubepack.census import (
@@ -27,7 +33,7 @@ from cubepack.constructions import (
     one_factorization,
     rod_tiling,
 )
-from cubepack.model import TORUS, coordinate_params, make_packing
+from cubepack.model import CUBE, TORUS, coordinate_params, make_packing
 from cubepack.ratfun import format_polynomial
 
 
@@ -123,6 +129,19 @@ def test_census_checkpoint_resume(tmp_path):
     ]
     with pytest.raises(ValueError):
         torus_limit_census(2, checkpoint_path=path)
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"regime": "limit", "n": 2, "include_zero_prob": false, '
+    '"track_paths": false}',
+], ids=["list", "no-level"])
+def test_census_rejects_malformed_checkpoint(tmp_path, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        torus_limit_census(2, checkpoint_path=path)
+    assert path.read_text() == text
 
 
 def test_census_rejects_bad_checkpoint_interval(tmp_path):
@@ -249,6 +268,42 @@ def test_replay_positive_census_reps():
 def test_positive_path_exists_census_types():
     for r in census3():
         assert positive_path_exists(r.rep)
+
+
+def test_positive_path_exists_matches_zero_prob_census():
+    # every class of positive probability is reached along a positive path;
+    # the zero-probability classes are reached along none
+    recs = torus_limit_census(3, include_zero_prob=True)
+    got = [positive_path_exists(r.rep) for r in recs]
+    assert got == [r.prob > 0 for r in recs]
+    assert (got.count(True), got.count(False)) == (4, 14)
+
+
+def test_positive_paths_match_brute_force_orders():
+    rng = random.Random(11)
+
+    def often_best(p):
+        # bias growth towards positive steps so both answers are common
+        classes = brute_extension_classes(p)
+        if classes and rng.random() < 0.6:
+            top = max(c.nb for c in classes)
+            return [c for c in classes if c.nb == top]
+        return classes
+
+    answers = []
+    for _ in range(120):
+        space = rng.choice([TORUS, TORUS, TORUS, CUBE])
+        grown = random_packing(rng, space, rng.randint(1, 3),
+                               rng.randint(1, 5), often_best)
+        cubes = list(grown.cubes)
+        rng.shuffle(cubes)
+        p = make_packing(space, grown.dim, cubes)
+        orders = set(brute_positive_orders(p))
+        assert positive_path_exists(p) == bool(orders)
+        for order in permutations(range(p.m)):
+            assert replay_is_positive(p, order) == (order in orders)
+        answers.append((p.m, bool(orders)))
+    assert {(5, True), (5, False), (4, True), (4, False)} <= set(answers)
 
 
 def test_positive_path_guard():

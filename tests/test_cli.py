@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubepack import cli
 from cubepack.canon import canonical_key
@@ -212,6 +216,35 @@ def test_verify_detects_drift(monkeypatch, capsys):
     assert "expected 21, derived 20" in err
 
 
+# Arguments "json:TEXT" of test_exit_codes stand for a file holding TEXT.
+_LITERAL_WITHOUT_S = 'json:{"space": "torus", "dim": 1, "cubes": [[{"p": 0}]]}'
+_DIM_NOT_INT = 'json:{"space": "torus", "dim": "x", "cubes": []}'
+_CHECKPOINT_WITHOUT_LEVEL = (
+    'json:{"regime": "limit", "n": 2, "include_zero_prob": false, '
+    '"track_paths": false}'
+)
+
+
+def _with_json_files(argv, tmp_path):
+    out = []
+    for i, arg in enumerate(argv):
+        if arg.startswith("json:"):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(arg[len("json:"):])
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+    max_leaves=6,
+)
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -245,12 +278,93 @@ def test_verify_detects_drift(monkeypatch, capsys):
         (["enumerate", "--space", "torus", "--dim", "2",
           "--checkpoint", "no/such/dir/ck.json",
           "--checkpoint-interval", "0"], 1),
+        (["canon", "--in", "json:{}"], 1),
+        (["canon", "--in", "json:[]"], 1),
+        (["canon", "--in", _LITERAL_WITHOUT_S], 1),
+        (["canon", "--in", _DIM_NOT_INT], 1),
+        (["construct", "--product", "json:{}", "json:{}"], 1),
+        (["construct", "--product", "json:[]", "json:[]"], 1),
+        (["construct", "--product", _LITERAL_WITHOUT_S, _LITERAL_WITHOUT_S], 1),
+        (["construct", "--product", _DIM_NOT_INT, _DIM_NOT_INT], 1),
+        (["enumerate", "--space", "torus", "--dim", "2",
+          "--checkpoint", "json:[]"], 1),
+        (["enumerate", "--space", "torus", "--dim", "2",
+          "--checkpoint", _CHECKPOINT_WITHOUT_LEVEL], 1),
+        (["construct", "--hmatrix", "20001"], 2),
+        (["construct", "--one-factorization", "20000"], 2),
     ],
 )
-def test_exit_codes(argv, expected, capsys):
-    code, _ = run(argv)
+def test_exit_codes(argv, expected, capsys, tmp_path):
+    code, _ = run(_with_json_files(argv, tmp_path))
     assert code == expected
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if expected == 1 and any(a.startswith("json:") for a in argv):
+        assert err.count("\n") == 1
+
+
+def test_construct_size_guard_matches_rod_tiling_cap():
+    # h_matrix(n) holds n^2 codes and a 1-factorization of K_v v(v-1), so
+    # n = 221 and v = 222 are the largest under the 2^12 * 12 codes of the
+    # largest default rod tiling
+    assert run(["construct", "--hmatrix", "223"]) == (2, "")
+    code, text = run(["construct", "--hmatrix", "223", "--long-running"])
+    assert code == 0 and loads(text).m == 223
+    code, text = run(["construct", "--one-factorization", "222"])
+    assert code == 0 and loads(text).m == 222
+
+
+def _invalid_packing_json(data):
+    """Minimal-packing JSON with one change that always leaves it invalid:
+    a dropped field, or a value of the wrong type or range in its place."""
+    source = ROOT / "fixtures/figure2/minimal-packing.json"
+    obj = json.loads(source.read_text())
+    literal = obj["cubes"][data.draw(st.integers(0, 3))][
+        data.draw(st.integers(0, 2))]
+    kind = data.draw(st.sampled_from(
+        ["top", "space", "dim", "cubes", "row", "coordinate", "p", "s",
+         "drop-top", "drop-literal"]))
+    if kind == "top":
+        return data.draw(_JSON.filter(lambda v: not isinstance(v, dict)))
+    if kind == "drop-top":
+        del obj[data.draw(st.sampled_from(["space", "dim", "cubes"]))]
+    elif kind == "drop-literal":
+        del literal[data.draw(st.sampled_from(["p", "s"]))]
+    elif kind == "space":
+        obj["space"] = data.draw(
+            _JSON.filter(lambda v: v not in ("torus", "cube")))
+    elif kind == "dim":
+        obj["dim"] = data.draw(_JSON.filter(lambda v: v != 3))
+    elif kind == "cubes":
+        obj["cubes"] = data.draw(_JSON.filter(lambda v: not isinstance(v, list)))
+    elif kind == "row":
+        obj["cubes"][data.draw(st.integers(0, 3))] = data.draw(
+            _JSON.filter(lambda v: not isinstance(v, list)))
+    elif kind == "coordinate":
+        row = obj["cubes"][data.draw(st.integers(0, 3))]
+        row[data.draw(st.integers(0, 2))] = data.draw(
+            _JSON.filter(lambda v: not isinstance(v, dict)))
+    elif kind == "p":
+        literal["p"] = data.draw(_JSON.filter(
+            lambda v: not (type(v) is int and v >= 0)))
+    else:
+        literal["s"] = data.draw(_JSON.filter(lambda v: v not in (0, 1)))
+    return obj
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_canon_rejects_mutated_packing_json(data):
+    obj = _invalid_packing_json(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.json"
+        path.write_text(json.dumps(obj))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run(["canon", "--in", str(path)])
+    assert code == 1 and text == ""
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") == 1
 
 
 def test_closed_stdout_exits_1_without_traceback():
