@@ -22,7 +22,7 @@ from .extend import (
     enumerate_extension_classes,
     class_representative,
     limit_step_distribution,
-    max_nb_classes,
+    max_nb,
 )
 from .model import (
     CUBE,
@@ -325,15 +325,15 @@ def laminated_mass(records):
 def _positive_cubes(sub, cubes):
     """The keys k of cubes, a {k: cube} map, whose insertion into sub is a
     positive step: the cube adds as many fresh parameters as the best
-    extension class of sub.  None when sub is non-extensible."""
-    classes = max_nb_classes(sub)
-    if not classes:
+    extension class of sub.  Empty when sub is non-extensible."""
+    best = max_nb(sub)
+    if best is None:
         return []
     sets = coordinate_params(sub)
     return [
         k for k, cube in cubes.items()
         if sum(is_literal(c) and param_of(c) not in s
-               for c, s in zip(cube, sets)) == classes[0].nb
+               for c, s in zip(cube, sets)) == best
     ]
 
 

@@ -45,8 +45,9 @@ def product(p, q):
     """
     if p.space != TORUS or q.space != TORUS:
         raise ConstructionError("product is defined for torus packings")
-    base = p.nparams
-    nq = q.nparams
+    # offsets past the largest parameter id, so sparse numbering cannot clash
+    base = p.param_bound
+    nq = q.param_bound
     cubes = []
     for i, zi in enumerate(p.cubes):
         off = base + i * nq

@@ -172,71 +172,86 @@ def finite_step_distribution(p, N):
     return [(c, Fraction(s, total)) for c, s in zip(classes, sizes) if s > 0]
 
 
-def max_nb_classes(p):
-    """The extension classes attaining the maximal fresh-parameter count.
+def _min_covers(p, ties):
+    """Minimum blocking covers: a class of maximal nb blocks every cube
+    through the fewest non-fresh coordinates.
 
-    Searches minimal blocking covers directly: every cube must be blocked by
-    some (coordinate, literal) choice, and a class has maximal nb exactly
-    when its set of non-fresh coordinates is a minimum-size consistent cover.
-    Much faster than full enumeration on near-tilings.
+    An unblocked cube is blocked by no chosen literal, so only an unused
+    coordinate can block it: the used ones are a bitmask, with no
+    consistency check.  Fail-first: branch on the unblocked cube with the
+    fewest options.  With ties every cover of the best size is kept;
+    without, each cover found limits the walk to strictly smaller ones.
+
+    Returns:
+        (k, covers): the fewest coordinates blocking every cube (p.dim + 1
+        when none do) and, with ties, the class vectors of that size in
+        the order of enumerate_extension_classes.
     """
     m = len(p.cubes)
-    if m == 0:
-        return (ExtensionClass((FRESH,) * p.dim, p.dim),)
     cands = _candidates_per_coordinate(p)
     masks = _blocked_masks(p, cands)
+    options = [
+        [(j, cand, mask) for j, row in enumerate(masks)
+         for cand, mask in row.items() if mask >> i & 1]
+        for i in range(m)
+    ]
     full = (1 << m) - 1
-    blockers = []
-    for i in range(m):
-        opts = []
-        for j in range(p.dim):
-            for cand, mask in masks[j].items():
-                if cand != FRESH and mask >> i & 1:
-                    opts.append((j, cand, mask))
-        blockers.append(opts)
-    best = {"k": p.dim + 1, "found": set()}
+    best = p.dim + 1
+    covers = set()
+    chosen = [FRESH] * p.dim
 
-    def walk(blocked, assigned):
-        if len(assigned) > best["k"]:
-            return
+    def walk(blocked, used, k):
+        nonlocal best, covers
         if blocked == full:
-            if len(assigned) < best["k"]:
-                best["k"] = len(assigned)
-                best["found"] = set()
-            if len(assigned) == best["k"]:
-                vec = tuple(assigned.get(j, FRESH) for j in range(p.dim))
-                best["found"].add(vec)
+            if k < best:
+                best, covers = k, set()
+            if ties:
+                covers.add(tuple(chosen))
             return
-        # fail-first: branch on the unblocked cube with fewest usable options
-        pick, pick_opts = None, None
+        if k + 1 >= best + ties:
+            return
+        pick = None
         for i in range(m):
             if blocked >> i & 1:
                 continue
-            opts = [(j, cand, mask) for j, cand, mask in blockers[i]
-                    if assigned.get(j, cand) == cand]
-            if pick_opts is None or len(opts) < len(pick_opts):
-                pick, pick_opts = i, opts
+            opts = [o for o in options[i] if not used >> o[0] & 1]
+            if pick is None or len(opts) < len(pick):
+                pick = opts
                 if not opts:
-                    break
-        for j, cand, mask in pick_opts:
-            fresh_cost = 0 if j in assigned else 1
-            if len(assigned) + fresh_cost > best["k"]:
-                continue
-            had = j in assigned
-            assigned[j] = cand
-            walk(blocked | mask, assigned)
-            if not had:
-                del assigned[j]
+                    return
+        for j, cand, mask in pick:
+            chosen[j] = cand
+            walk(blocked | mask, used | 1 << j, k + 1)
+            chosen[j] = FRESH
 
-    walk(0, {})
-    if not best["found"]:
-        return ()
-    classes = [ExtensionClass(vec, p.dim - best["k"]) for vec in sorted(best["found"], key=_class_sort_key)]
-    return tuple(classes)
+    walk(0, 0, 0)
+    rank = [{cand: r for r, cand in enumerate(col)} for col in cands]
+    return best, sorted(covers,
+                        key=lambda vec: [r[c] for r, c in zip(rank, vec)])
 
 
-def _class_sort_key(vec):
-    return tuple((1, 0) if c == FRESH else (0, c) for c in vec)
+def max_nb(p):
+    """The largest fresh-parameter count over p's extension classes.
+
+    None when p is non-extensible.  Counts only: after each cover it finds,
+    the minimum-cover walk searches only for strictly smaller ones, so it
+    lists no class.
+    """
+    k, _ = _min_covers(p, ties=False)
+    return None if k > p.dim else p.dim - k
+
+
+def max_nb_classes(p):
+    """The extension classes attaining the maximal fresh-parameter count.
+
+    A class has maximal nb exactly when its non-fresh coordinates form a
+    minimum blocking cover; the fail-first cover walk (_min_covers) lists
+    every cover of the minimum size, pruning branches that would exceed it.
+    Sorted like enumerate_extension_classes; empty when p is
+    non-extensible.
+    """
+    k, covers = _min_covers(p, ties=True)
+    return tuple(ExtensionClass(vec, p.dim - k) for vec in covers)
 
 
 def limit_step_distribution(p):
@@ -268,7 +283,7 @@ def is_extensible(p):
 
 def class_representative(p, c):
     """Concrete coordinate codes for a class, fresh slots get new parameters."""
-    next_param = max((q for q, _ in p.param_coord), default=-1) + 1
+    next_param = p.param_bound
     row = []
     for cand in c.coords:
         if cand == FRESH:

@@ -89,6 +89,11 @@ class Packing:
     def nparams(self):
         return len(self.param_coord)
 
+    @property
+    def param_bound(self):
+        """One more than the largest parameter id (nparams when dense)."""
+        return self.param_coord[-1][0] + 1 if self.param_coord else 0
+
 
 def make_packing(space, dim, cubes):
     """Build a Packing from raw coordinate-code tuples, deriving ownership."""

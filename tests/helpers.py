@@ -178,23 +178,63 @@ def brute_extension_classes(p):
     FRESH; a vector is a class when each cube is separated from it in some
     non-fresh coordinate.  Sorted lexicographically by code rank.
     """
-    cands = []
-    for j in range(p.dim):
-        if p.space == TORUS:
-            params = {param_of(cube[j]) for cube in p.cubes}
-            col = [literal(q, s) for q in params for s in (0, 1)]
-        else:
-            col = [ZERO, ONE]
-        cands.append(col + [FRESH])
     found = []
-    for vec in product(*cands):
+    for vec in product(*(col + [FRESH] for col in _brute_candidates(p))):
         if all(
             any(v != FRESH and _separated(v, c) for v, c in zip(vec, cube))
             for cube in p.cubes
         ):
             found.append(vec)
-    found.sort(key=lambda vec: [_code_rank(v) for v in vec])
-    return tuple(ExtensionClass(vec, vec.count(FRESH)) for vec in found)
+    return _brute_classes(found)
+
+
+def _brute_candidates(p):
+    """Per coordinate, the non-fresh codes of brute_extension_classes."""
+    cands = []
+    for j in range(p.dim):
+        if p.space == TORUS:
+            params = {param_of(cube[j]) for cube in p.cubes}
+            cands.append([literal(q, s) for q in params for s in (0, 1)])
+        else:
+            cands.append([ZERO, ONE])
+    return cands
+
+
+def _brute_classes(vecs):
+    vecs = sorted(vecs, key=lambda vec: [_code_rank(v) for v in vec])
+    return tuple(ExtensionClass(vec, vec.count(FRESH)) for vec in vecs)
+
+
+def dp_max_nb_classes(p):
+    """The extension classes of maximal nb, by dynamic programming over
+    the coordinates.
+
+    After coordinate j each set of blocked cubes keeps its cheapest
+    prefixes (fewest non-fresh codes): what the later coordinates must
+    still block depends on the set alone, so no dearer prefix ends in a
+    cheapest class.  Candidates and order as in brute_extension_classes.
+    It shares nothing with the cover walk: no branching on cubes, no
+    pruning, so it can check that walk on packings too big for the brute
+    product.
+    """
+    table = {0: (0, [()])}
+    for j, col in enumerate(_brute_candidates(p)):
+        moves = [(FRESH, 0, 0)] + [
+            (v, sum(1 << i for i, cube in enumerate(p.cubes)
+                    if _separated(v, cube[j])), 1)
+            for v in col
+        ]
+        step = {}
+        for mask, (cost, heads) in table.items():
+            for v, blocks, extra in moves:
+                key, total = mask | blocks, cost + extra
+                old = step.get(key)
+                if old is None or total < old[0]:
+                    step[key] = (total, [h + (v,) for h in heads])
+                elif total == old[0]:
+                    old[1].extend(h + (v,) for h in heads)
+        table = step
+    return _brute_classes(table.get((1 << p.m) - 1, (0, []))[1])
 
 
 def brute_positive_orders(p):

@@ -11,6 +11,7 @@ from helpers import (
     random_packing,
 )
 
+from cubepack import census, extend
 from cubepack.canon import canonical_key
 from cubepack.census import (
     ResourceGuardError,
@@ -30,6 +31,7 @@ from cubepack.census import (
 from cubepack.constructions import (
     factorization_packing,
     laminated_tiling,
+    load_fixture,
     one_factorization,
     rod_tiling,
 )
@@ -304,6 +306,26 @@ def test_positive_paths_match_brute_force_orders():
             assert replay_is_positive(p, order) == (order in orders)
         answers.append((p.m, bool(orders)))
     assert {(5, True), (5, False), (4, True), (4, False)} <= set(answers)
+
+
+def test_positive_path_exists_lists_no_classes(monkeypatch):
+    # the step rule asks for the best count only, never for the class list
+    calls = {"max_nb": 0, "max_nb_classes": 0}
+    for mod in (census, extend):
+        for name in calls:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, _counting(
+                    calls, name, getattr(mod, name)))
+    assert not positive_path_exists(load_fixture("dim6-1"))
+    assert calls["max_nb_classes"] == 0
+    assert calls["max_nb"] > 0
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
 
 
 def test_positive_path_guard():

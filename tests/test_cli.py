@@ -219,6 +219,15 @@ def test_verify_detects_drift(monkeypatch, capsys):
 # Arguments "json:TEXT" of test_exit_codes stand for a file holding TEXT.
 _LITERAL_WITHOUT_S = 'json:{"space": "torus", "dim": 1, "cubes": [[{"p": 0}]]}'
 _DIM_NOT_INT = 'json:{"space": "torus", "dim": "x", "cubes": []}'
+# two copies of one 1-D torus cube, which overlap
+_OVERLAPPING = ('json:{"space": "torus", "dim": 1, '
+                '"cubes": [[{"p": 0, "s": 0}], [{"p": 0, "s": 0}]]}')
+
+
+def _empty_torus_json(dim):
+    return 'json:{"space": "torus", "dim": %d, "cubes": []}' % dim
+
+
 _CHECKPOINT_WITHOUT_LEVEL = (
     'json:{"regime": "limit", "n": 2, "include_zero_prob": false, '
     '"track_paths": false}'
@@ -292,6 +301,9 @@ _JSON = st.recursive(
           "--checkpoint", _CHECKPOINT_WITHOUT_LEVEL], 1),
         (["construct", "--hmatrix", "20001"], 2),
         (["construct", "--one-factorization", "20000"], 2),
+        (["construct", "--product", _OVERLAPPING, _OVERLAPPING], 1),
+        (["canon", "--in", _empty_torus_json(cli.CANON_MAX_DIM + 1)], 2),
+        (["canon", "--in", _empty_torus_json(2000)], 2),
     ],
 )
 def test_exit_codes(argv, expected, capsys, tmp_path):
@@ -301,6 +313,8 @@ def test_exit_codes(argv, expected, capsys, tmp_path):
     assert "Traceback" not in err
     if expected == 1 and any(a.startswith("json:") for a in argv):
         assert err.count("\n") == 1
+    if expected == 2:
+        assert err.startswith("refused: ") and err.count("\n") == 1
 
 
 def test_construct_size_guard_matches_rod_tiling_cap():

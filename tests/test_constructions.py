@@ -34,6 +34,7 @@ from cubepack.model import (
     is_tiling,
     literal,
     make_packing,
+    normalize_params,
     opposite,
     validate,
 )
@@ -63,6 +64,21 @@ def test_product_counts_random():
         assert pq.m == p.m * q.m
         assert pq.nparams == p.nparams + p.m * q.nparams
         assert validate(pq) is None
+
+
+def test_product_offsets_past_sparse_parameter_ids():
+    # the laminated 2-D tiling with parameters {0, 2, 3}: offsetting copies
+    # by nparams would reuse parameter 4 in two coordinates
+    t = literal
+    q = make_packing(TORUS, 2, [(t(0), t(2)), (t(0), t(2, 1)),
+                                (t(0, 1), t(3)), (t(0, 1), t(3, 1))])
+    assert validate(q) is None and q.nparams == 3 and q.param_bound == 4
+    pq = product(laminated_tiling(1), q)
+    assert validate(pq) is None
+    assert canonical_key(pq) == canonical_key(
+        product(laminated_tiling(1), normalize_params(q)))
+    assert canonical_key(product(q, laminated_tiling(1))) == canonical_key(
+        product(normalize_params(q), laminated_tiling(1)))
 
 
 def test_product_extensibility():

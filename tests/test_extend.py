@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from helpers import (
     brute_extension_classes,
     count_addable_positions,
+    dp_max_nb_classes,
     random_packing,
     realize,
 )
 
 from cubepack import census
+from cubepack.constructions import fixtures, load_fixture
 from cubepack.extend import (
     FREE,
     FRESH,
@@ -26,6 +28,7 @@ from cubepack.extend import (
     finite_step_distribution,
     is_extensible,
     limit_step_distribution,
+    max_nb,
     max_nb_classes,
     poss_complex,
     serialize_class,
@@ -192,6 +195,49 @@ def test_max_nb_classes_agree_with_full_enumeration():
             else:
                 expect = set()
             assert set(max_nb_classes(p)) == expect
+
+
+def _assert_max_nb_matches(p, classes):
+    top = max((c.nb for c in classes), default=None)
+    assert max_nb(p) == top
+    assert max_nb_classes(p) == tuple(c for c in classes if c.nb == top)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    space=st.sampled_from((TORUS, CUBE)),
+    dim=st.integers(0, 5),
+    steps=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_nb_matches_brute_force(space, dim, steps, seed):
+    # grown by the oracle, so the packings do not depend on the cover walk
+    p = random_packing(random.Random(seed), space, dim, steps,
+                       brute_extension_classes)
+    classes = brute_extension_classes(p)
+    _assert_max_nb_matches(p, classes)
+    top = max((c.nb for c in classes), default=None)
+    assert dp_max_nb_classes(p) == tuple(c for c in classes if c.nb == top)
+
+
+def test_max_nb_matches_oracle_on_positive_path_states(monkeypatch):
+    # every subset state the positive-path sweep asks about, dimension-6
+    # Figure 3 packings included; the brute product is too big there, so
+    # the oracle is the coordinate DP, itself checked against it above
+    seen = {}
+    real = census.max_nb
+
+    def record(p):
+        seen[p] = None
+        return real(p)
+
+    monkeypatch.setattr(census, "max_nb", record)
+    for name in sorted(fixtures()):
+        census.positive_path_exists(load_fixture(name))
+    monkeypatch.undo()
+    assert len(seen) > 1500
+    for p in seen:
+        _assert_max_nb_matches(p, dp_max_nb_classes(p))
 
 
 def test_class_sizes_partition_all_addable_grid_positions():
