@@ -17,7 +17,16 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import CUBE, ONE, TORUS, ZERO, is_literal, param_of, shift_of
+from .model import (
+    CUBE,
+    ONE,
+    TORUS,
+    ZERO,
+    ResourceGuardError,
+    is_literal,
+    param_of,
+    shift_of,
+)
 
 COLOR_CUBE = 0
 COLOR_COORD = 1
@@ -25,6 +34,12 @@ COLOR_PARAM = 2
 COLOR_LITERAL = 3
 COLOR_CELL = 4
 COLOR_BOUNDARY = 5
+
+# Largest dimension the canonical form accepts: the search recurses once per
+# individualized vertex, so far larger packings would exhaust the stack.  On
+# the empty torus packing `cubepack canon` takes about 1.2 s at 24
+# dimensions, 2.5 s at 28 and 7 s at 32 (2-core VM).
+CANON_MAX_DIM = 24
 
 
 @dataclass(frozen=True)
@@ -336,6 +351,10 @@ def _graph_aut_order(gens, nv):
 
 @lru_cache(maxsize=8192)
 def _canon_result(p):
+    if p.dim > CANON_MAX_DIM:
+        raise ResourceGuardError(
+            f"canonical form of dimension {p.dim} exceeds the cap of "
+            f"{CANON_MAX_DIM}")
     graph = encode(p)
     cert, _, gens = _Canonicalizer(graph).run()
     counts = {}
@@ -362,9 +381,3 @@ def automorphism_order(p):
             if not any(cube[j] in (ZERO, ONE) for cube in p.cubes):
                 order //= 2
     return order
-
-
-def are_equivalent(p, q):
-    if p.space != q.space or p.dim != q.dim:
-        return False
-    return canonical_key(p) == canonical_key(q)

@@ -21,12 +21,13 @@ from .canon import CanonicalKey, automorphism_order, canonical_key
 from .extend import (
     enumerate_extension_classes,
     class_representative,
-    limit_step_distribution,
     max_nb,
+    max_nb_classes,
 )
 from .model import (
     CUBE,
     TORUS,
+    ResourceGuardError,
     add_cube,
     coordinate_params,
     empty_packing,
@@ -38,19 +39,15 @@ from .model import (
 from .ratfun import RationalFunction, X, expand, interpolate, ratfun
 
 
-class ResourceGuardError(RuntimeError):
-    """The request exceeds the default size limits; pass the long-running
-    flag to proceed deliberately."""
-
-
 @dataclass(frozen=True)
 class CensusRecord:
     """One terminal equivalence class of the process.
 
     prob is a Fraction in the limit and finite regimes and a
     RationalFunction of the grid resolution in the expansion regime.  paths,
-    when tracked, maps per-step new-parameter histograms to the probability
-    mass arriving through paths with that histogram.
+    when tracked, is the sorted (histogram, probability) pairs: histogram[k]
+    counts the steps that added k new parameters, and probability is the
+    mass arriving through paths with that histogram.  None when untracked.
     """
 
     key: CanonicalKey
@@ -65,21 +62,6 @@ class CensusRecord:
     @property
     def zero_prob(self):
         return self.prob == 0
-
-
-@dataclass(frozen=True)
-class PathStats:
-    """histogram[k] = number of process steps that added k new parameters."""
-
-    histogram: tuple
-    probability: Fraction
-
-
-def path_stats(record):
-    """The distribution over new-parameter histograms of a tracked record."""
-    if record.paths is None:
-        raise ValueError("census was run without track_paths")
-    return tuple(PathStats(h, q) for h, q in record.paths)
 
 
 class _Paths(dict):
@@ -177,7 +159,7 @@ def torus_limit_census(
             new-parameter count; the extra classes carry probability zero
             and surface the unreachable-at-random types.
         track_paths: record, per terminal class, the distribution of
-            per-step new-parameter histograms (see path_stats).
+            per-step new-parameter histograms (CensusRecord.paths).
         allow_large: lift the default n <= 4 guard (n <= 3 with
             include_zero_prob).
         checkpoint_path: JSON file updated while sweeping and resumed from
@@ -203,19 +185,19 @@ def torus_limit_census(
         )
 
     def children(rep, weight):
-        if include_zero_prob:
-            classes = enumerate_extension_classes(rep)
-            best = max((c.nb for c in classes), default=0)
-            r = sum(1 for c in classes if c.nb == best)
-            steps = [(c, Fraction(1, r) if c.nb == best else Fraction(0))
-                     for c in classes]
-        else:
-            steps = limit_step_distribution(rep)
-        return [
-            (add_cube(rep, class_representative(rep, c)),
-             weight.step(c.nb, share) if track_paths else weight * share)
-            for c, share in steps
-        ]
+        # uniform over the classes of maximal nb, zero on the rest
+        classes = (enumerate_extension_classes(rep) if include_zero_prob
+                   else max_nb_classes(rep))
+        if not classes:
+            return []
+        best = max(c.nb for c in classes)
+        share = Fraction(1, sum(c.nb == best for c in classes))
+        out = []
+        for c in classes:
+            q = share if c.nb == best else Fraction(0)
+            out.append((add_cube(rep, class_representative(rep, c)),
+                        weight.step(c.nb, q) if track_paths else weight * q))
+        return out
 
     def on_level(level, frontier, records):
         if level % checkpoint_interval == 0 or not frontier:
@@ -306,12 +288,6 @@ def expected_cubes_limit(n, census=None):
     return sum(r.prob * r.m for r in census)
 
 
-def min_nonextensible(records):
-    """Minimal terminal cube count and the classes attaining it."""
-    best = min(r.m for r in records)
-    return best, [r for r in records if r.m == best]
-
-
 def laminated(p):
     """Whether some coordinate carries exactly one parameter."""
     return min(len(s) for s in coordinate_params(p)) == 1
@@ -337,6 +313,7 @@ def _positive_cubes(sub, cubes):
     ]
 
 
+# Test-only: the brute-force order tests check _positive_cubes through it.
 def replay_is_positive(p, order=None):
     """Whether inserting p's cubes in the given order is a positive path.
 
@@ -435,12 +412,6 @@ def cube_expansion(n, order, allow_long=False, return_records=False):
     return series, out
 
 
-def comb_type_counts(records, order):
-    """counts[k] = number of terminal classes of probability order <= k."""
-    orders = [r.prob.order_at_infinity() for r in records]
-    return tuple(sum(1 for o in orders if o <= k) for k in range(order + 1))
-
-
 def interpolate_Ck(order, dims, expansions=None, allow_long=False):
     """Coefficient polynomials of the expansion as functions of dimension.
 
@@ -470,19 +441,3 @@ def interpolate_Ck(order, dims, expansions=None, allow_long=False):
         points = [(n, series[n].coeffs[k]) for n in dims]
         polys.append(interpolate(points, k))
     return polys
-
-
-def closed_form_expansion_polys():
-    """Coefficient polynomials (in the dimension) of the closed second-order
-    form 1 + 2n/(N+1) + 4n(n-1)/(N+1)^2, re-expanded in powers of 1/(N-1).
-
-    Exact by degree bounds: each coefficient is a polynomial of degree at
-    most 2 in n, fitted through five dimensions with the spare points
-    checked.
-    """
-    series = {
-        n: expand(ratfun(1) + ratfun(2 * n, X + 1)
-                  + ratfun(4 * n * (n - 1), (X + 1) ** 2), 2)
-        for n in range(1, 6)
-    }
-    return interpolate_Ck(2, range(1, 6), expansions=series)

@@ -17,13 +17,8 @@ import json
 import os
 import sys
 
-from .canon import automorphism_order, canonical_key
-from .census import (
-    ResourceGuardError,
-    interpolate_Ck,
-    positive_path_exists,
-    torus_limit_census,
-)
+from .canon import CANON_MAX_DIM, automorphism_order, canonical_key
+from .census import interpolate_Ck, positive_path_exists, torus_limit_census
 from .constructions import (
     ROD_MAX_DIM,
     ConstructionError,
@@ -38,7 +33,15 @@ from .constructions import (
 )
 from .discrete import finite_census
 from .extend import is_extensible
-from .model import CUBE, TORUS, dumps, is_tiling, load_file, validate
+from .model import (
+    CUBE,
+    TORUS,
+    ResourceGuardError,
+    dumps,
+    is_tiling,
+    load_file,
+    validate,
+)
 from .montecarlo import SimConfig, estimate_expectation
 from .ratfun import format_polynomial
 
@@ -47,9 +50,6 @@ CENSUS_COLUMNS = ("key", "m", "nparams", "prob", "extensible", "aut")
 # Coordinate codes (cubes x coordinates) a construction may hold without
 # --long-running: those of the largest default rod tiling.
 MAX_CONSTRUCT_CODES = 2 ** ROD_MAX_DIM * ROD_MAX_DIM
-# Largest dimension canon accepts.  On the empty torus packing the command
-# takes about 1.2 s at 24 dimensions, 2.5 s at 28 and 7 s at 32 (2-core VM).
-CANON_MAX_DIM = 24
 
 
 class UsageError(Exception):
@@ -375,9 +375,6 @@ def _cmd_verify(args, out):
 
 def _cmd_canon(args, out):
     p = _load_valid(args.path)
-    if p.dim > CANON_MAX_DIM:
-        raise ResourceGuardError(
-            f"canon of dimension {p.dim} exceeds the cap of {CANON_MAX_DIM}")
     payload = {
         "key": canonical_key(p).hex(),
         "m": p.m,

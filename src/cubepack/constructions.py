@@ -6,13 +6,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
-from .census import ResourceGuardError
-from .extend import max_nb_classes
 from .model import (
     TORUS,
+    ResourceGuardError,
     literal,
     load_file,
     make_packing,
@@ -272,124 +270,6 @@ def rod_tiling(n, fillers=None, allow_large=False):
             cubes.append(h + tail)
         base += filler.nparams
     return make_packing(TORUS, n, cubes)
-
-
-def rod_stage_state(n, rows):
-    """Partial rod structure: the chosen axis vectors plus fresh tails.
-
-    Args:
-        n: ambient dimension, >= 3.
-        rows: indices into ROD_VECTORS; each selected axis is extended with
-            its own fresh parameter in every coordinate past the third.
-    """
-    cubes = []
-    nxt = 6
-    for r in rows:
-        row = list(ROD_VECTORS[r])
-        for _ in range(n - 3):
-            row.append(literal(nxt, 0))
-            nxt += 1
-        cubes.append(tuple(row))
-    return make_packing(TORUS, n, cubes)
-
-
-def _stage_total(n, rows):
-    return len(max_nb_classes(rod_stage_state(n, rows)))
-
-
-@dataclass(frozen=True)
-class RodRecurrenceState:
-    """Stage probabilities of the rod process: probs[(h, r)] for cube count h."""
-
-    n: int
-    probs: dict
-    delta4_2: int
-
-    def stage_totals(self):
-        out = {}
-        for (h, _), v in self.probs.items():
-            out[h] = out.get(h, Fraction(0)) + v
-        return out
-
-
-def rod_recurrence(n):
-    """Stage-by-stage probabilities of building the 8-rod skeleton plus one
-    extra cube per rod, as exact rationals in the integer dimension n.
-
-    Each stage h lists the orbits of reachable configurations with h cubes
-    and the transition weights between them; the weights are kept in their
-    original unsimplified form so each line can be checked in isolation.
-
-    Raises:
-        ConstructionError: for n <= 3, where the configurations degenerate.
-    """
-    if n <= 3:
-        raise ConstructionError("rod recurrence needs dimension >= 4")
-    F = Fraction
-    p3_1 = F(n - 2, n)
-    p4_1 = p3_1 * F(3, n * (n - 1) * (n - 2))
-    p4_2 = p3_1 * F(2, n * (n - 1) * (n - 2))
-    d4_2 = 3 * (n - 3) * (n - 4) + 3 * (n - 3) + 4
-    d6_2 = n - 1
-    if n == 4:
-        # Two closed-form totals undercount in dimension 4, where blocking
-        # patterns through the single tail coordinate tie with the generic
-        # ones; replaying the explicit states gives 13 and 4, the only
-        # totals consistent with the census mass of the rod class.
-        d4_2 = _stage_total(4, (0, 1, 2, 6))
-        d6_2 = _stage_total(4, (0, 1, 2, 3, 4, 6))
-    p5_1 = p4_1 * F(2, 2 * (n - 1) * (n - 2))
-    p5_2 = p4_1 * F(2, 2 * (n - 1) * (n - 2)) + p4_2 * F(3, d4_2)
-    p5_3 = p4_2 * F(1, d4_2)
-    p6_1 = p5_1 * F(1, 3 * (n - 2))
-    p6_2 = p5_1 * F(2, 3 * (n - 2)) + p5_2 * F(2, n * (n - 2))
-    p6_3 = p5_2 * F(1, n * (n - 2)) + p5_3 * F(3, 3 * (n - 2))
-    p7_1 = p6_1 + p6_2 * F(1, d6_2)
-    p7_2 = p6_2 * F(1, d6_2) + p6_3 * F(2, 2 * (n - 2))
-    p8_1 = p7_1 + p7_2 * F(1, n - 2)
-    a = n - 3
-    b = (n - 3) * (n - 4)
-    p9_1 = p8_1 * F(2 * a, 8 * a + 3 * b)
-    p9_2 = p8_1 * F(6 * a, 8 * a + 3 * b)
-    p10_1 = p9_1 * F(a, 7 * a + 3 * b)
-    p10_2 = p9_1 * F(6 * a, 7 * a + 3 * b) + p9_2 * F(3 * a, 7 * a + 2 * b)
-    p10_3 = p9_2 * F(4 * a, 7 * a + 2 * b)
-    p11_1 = p10_1 * F(6 * a, 6 * a + 3 * b) + p10_2 * F(2 * a, 6 * a + 2 * b)
-    p11_2 = p10_2 * F(4 * a, 6 * a + 2 * b) + p10_3 * F(4 * a, 6 * a + b)
-    p11_3 = p10_3 * F(2 * a, 6 * a + 2 * b)
-    p12_1 = p11_1 * F(a, 5 * a + 2 * b)
-    p12_2 = p11_1 * F(4 * a, 5 * a + 2 * b) + p11_2 * F(3 * a, 5 * a + 2 * b)
-    p12_3 = p11_2 * F(2 * a, 5 * a + 2 * b) + p11_3 * F(5 * a, 5 * a + 2 * b)
-    p13_1 = p12_1 * F(4 * a, 4 * a + 2 * b) + p12_2 * F(2 * a, 4 * a + b)
-    p13_2 = p12_2 * F(2 * a, 4 * a + b) + p12_3 * F(4 * a, 4 * a)
-    p14_1 = p13_1 * F(a, 3 * a + b)
-    p14_2 = p13_1 * F(2 * a, 3 * a + b) + p13_2 * F(3 * a, 3 * a)
-    p15_1 = p14_1 * F(2 * a, 2 * a + b) + p14_2
-    probs = {
-        (3, 1): p3_1,
-        (4, 1): p4_1, (4, 2): p4_2,
-        (5, 1): p5_1, (5, 2): p5_2, (5, 3): p5_3,
-        (6, 1): p6_1, (6, 2): p6_2, (6, 3): p6_3,
-        (7, 1): p7_1, (7, 2): p7_2,
-        (8, 1): p8_1,
-        (9, 1): p9_1, (9, 2): p9_2,
-        (10, 1): p10_1, (10, 2): p10_2, (10, 3): p10_3,
-        (11, 1): p11_1, (11, 2): p11_2, (11, 3): p11_3,
-        (12, 1): p12_1, (12, 2): p12_2, (12, 3): p12_3,
-        (13, 1): p13_1, (13, 2): p13_2,
-        (14, 1): p14_1, (14, 2): p14_2,
-        (15, 1): p15_1,
-    }
-    return RodRecurrenceState(n, probs, d4_2)
-
-
-def rod_probability(n):
-    """The rod-skeleton factor of the rod-tiling probability.
-
-    Multiplied by the 8-fold power of the (n-3)-dimensional tiling
-    probability it gives the probability of ending in a rod tiling.
-    """
-    return rod_recurrence(n).probs[(15, 1)]
 
 
 def fixtures_dir():

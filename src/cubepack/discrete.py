@@ -21,8 +21,8 @@ import numpy as np
 
 from . import backend
 from .canon import CanonicalKey
-from .census import CensusRecord, ResourceGuardError, sweep
-from .model import TORUS, grid_overlaps, phi_grid
+from .census import CensusRecord, sweep
+from .model import TORUS, ResourceGuardError, grid_overlaps, phi_grid
 
 
 def grid_positions(n, N, space):

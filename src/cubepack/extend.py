@@ -3,13 +3,12 @@
 An extension class fixes, per coordinate, either an existing literal (torus),
 a boundary value (cube space), or a fresh parameter; it stands for all
 discrete cubes with that blocking pattern.  Class sizes count the discrete
-realizations at grid resolution N, and the step distributions follow:
-proportional to size at finite N, uniform over the classes with the most
-fresh parameters in the limit.
+realizations at grid resolution N.  The step rules built on them live with
+their callers: census draws uniformly over the classes with the most fresh
+parameters (the limit), montecarlo in proportion to class size (finite N).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .model import (
     CUBE,
@@ -17,7 +16,6 @@ from .model import (
     TORUS,
     ZERO,
     add_cube,
-    code_to_json,
     coordinate_params,
     literal,
     opposite,
@@ -29,27 +27,12 @@ from .model import (
 FRESH = "*"
 
 
-class DegenerateGridError(ValueError):
-    """Grid too coarse: every extension class has zero discrete members."""
-
-
 @dataclass(frozen=True)
 class ExtensionClass:
     """One combinatorial way of adding a cube; nb counts fresh coordinates."""
 
     coords: tuple
     nb: int
-
-
-@dataclass(frozen=True)
-class Face:
-    """A face of [0,1]^n: fixed 0/1 coordinates plus FREE directions."""
-
-    pattern: tuple
-    dim: int
-
-
-FREE = FRESH
 
 
 def _candidates_per_coordinate(p):
@@ -162,16 +145,6 @@ def class_sizes(p, classes, N):
     return tuple(sizes)
 
 
-def finite_step_distribution(p, N):
-    """Exact class probabilities at resolution N, proportional to class size."""
-    classes = enumerate_extension_classes(p)
-    sizes = class_sizes(p, classes, N)
-    total = sum(sizes)
-    if classes and total == 0:
-        raise DegenerateGridError(f"no extension class has members at N={N}")
-    return [(c, Fraction(s, total)) for c, s in zip(classes, sizes) if s > 0]
-
-
 def _min_covers(p, ties):
     """Minimum blocking covers: a class of maximal nb blocks every cube
     through the fewest non-fresh coordinates.
@@ -254,15 +227,6 @@ def max_nb_classes(p):
     return tuple(ExtensionClass(vec, p.dim - k) for vec in covers)
 
 
-def limit_step_distribution(p):
-    """Uniform distribution over the maximal-nb classes; empty if non-extensible."""
-    classes = max_nb_classes(p)
-    if not classes:
-        return []
-    q = Fraction(1, len(classes))
-    return [(c, q) for c in classes]
-
-
 def is_extensible(p):
     """Extensibility with a verified witness.
 
@@ -292,26 +256,3 @@ def class_representative(p, c):
         else:
             row.append(cand)
     return tuple(row)
-
-
-def poss_complex(p):
-    """The face complex of addable positions in the cube case.
-
-    Every extension class pattern, read with FRESH as a free direction, is a
-    face of [0,1]^n all of whose points give addable cubes; the set is closed
-    under taking subfaces by construction.
-    """
-    if p.space != CUBE:
-        raise ValueError("poss_complex is defined for cube-space packings")
-    faces = []
-    for c in enumerate_extension_classes(p):
-        faces.append(Face(c.coords, c.nb))
-    return frozenset(faces)
-
-
-def complex_max_dim(faces):
-    return max((f.dim for f in faces), default=-1)
-
-
-def serialize_class(c):
-    return [FRESH if cand == FRESH else code_to_json(cand) for cand in c.coords]

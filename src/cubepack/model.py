@@ -33,6 +33,11 @@ class InvalidDiscretePackingError(ValueError):
     """A discrete input whose cubes overlap or leave the allowed region."""
 
 
+class ResourceGuardError(RuntimeError):
+    """The request exceeds a size limit.  Where the call takes allow_large
+    or allow_long (the CLI's --long-running), that flag lifts the limit."""
+
+
 def literal(param, shift=0):
     """Coordinate code for the literal t_param + shift."""
     return 2 * param + shift
@@ -177,24 +182,6 @@ def coordinate_params(p):
     for q, j in p.param_coord:
         sets[j].add(q)
     return sets
-
-
-def normalize_params(p):
-    """Renumber parameters densely, 0..N-1, in first-occurrence order."""
-    remap = {}
-    new_cubes = []
-    for cube in p.cubes:
-        row = []
-        for code in cube:
-            if is_literal(code):
-                q = param_of(code)
-                if q not in remap:
-                    remap[q] = len(remap)
-                row.append(literal(remap[q], shift_of(code)))
-            else:
-                row.append(code)
-        new_cubes.append(tuple(row))
-    return make_packing(p.space, p.dim, new_cubes)
 
 
 def phi_grid(kvecs, N, space):
@@ -344,6 +331,8 @@ def dumps(p, indent=None):
     return json.dumps(to_json_obj(p), indent=indent)
 
 
+# Test-only, as is save_file: the two complete the JSON I/O pair whose
+# other halves, dumps and load_file, the CLI uses.
 def loads(text):
     return from_json_obj(json.loads(text))
 
@@ -357,17 +346,3 @@ def save_file(p, path, indent=2):
     with open(path, "w") as fh:
         json.dump(to_json_obj(p), fh, indent=indent)
         fh.write("\n")
-
-
-def format_cube(cube):
-    """Human-readable cube, e.g. (t1, t2+1, 0)."""
-    parts = []
-    for code in cube:
-        if code == ZERO:
-            parts.append("0")
-        elif code == ONE:
-            parts.append("1")
-        else:
-            s = "+1" if shift_of(code) else ""
-            parts.append(f"t{param_of(code) + 1}{s}")
-    return "(" + ", ".join(parts) + ")"

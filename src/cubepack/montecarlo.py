@@ -235,15 +235,3 @@ def estimate_expectation(cfg, emit_histogram=False):
     if not 1 <= report.mean <= 2 ** cfg.dim:
         raise AssertionError("mean outside [1, 2^n]")
     return report
-
-
-def lamination_frequency(n, N, trials, seed):
-    """Fraction of terminal torus packings with a single-parameter
-    coordinate; n=1 is degenerate and reported as 1 by convention."""
-    if n == 1:
-        return 1.0
-    cfg = SimConfig(
-        space=TORUS, dim=n, N=N, trials=trials, seed=seed,
-        track_lamination=True,
-    )
-    return estimate_expectation(cfg).lamination_frequency

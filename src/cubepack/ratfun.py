@@ -117,6 +117,7 @@ X = Polynomial((0, 1))
 ONE_POLY = Polynomial((1,))
 
 
+# Test-only: the property tests check the integer gcd (_zgcd) through it.
 def poly_gcd(a, b):
     """Monic gcd of two Polynomials, computed on their primitive parts in Z[x]."""
     if a.is_zero() or b.is_zero():
@@ -475,15 +476,6 @@ def interpolate(points, degree):
         if poly(xj) != seen[xj]:
             raise NonPolynomialDataError(f"degree-{degree} fit misses the point at x = {xj}")
     return poly
-
-
-def format_rational(q):
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
-def parse_rational(text):
-    return Fraction(text)
 
 
 def format_polynomial(poly, var="n"):

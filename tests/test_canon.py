@@ -5,15 +5,20 @@ import math
 import random
 
 import pytest
-from helpers import brute_automorphism_order, brute_equivalent, random_packing
+from helpers import (
+    brute_automorphism_order,
+    brute_equivalent,
+    normalize_params,
+    random_packing,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubepack.canon import (
+    CANON_MAX_DIM,
     ColoredGraph,
     _Canonicalizer,
     _PermGroup,
-    are_equivalent,
     automorphism_order,
     canonical_key,
     encode,
@@ -33,9 +38,10 @@ from cubepack.model import (
     ONE,
     TORUS,
     ZERO,
+    ResourceGuardError,
+    empty_packing,
     literal,
     make_packing,
-    normalize_params,
 )
 
 T = literal
@@ -80,7 +86,6 @@ def test_key_is_invariant_under_relabeling():
             for _ in range(4):
                 q = _relabel(rng, p)
                 assert canonical_key(q) == key
-                assert are_equivalent(p, q)
 
 
 def test_key_matches_brute_force_equivalence():
@@ -89,7 +94,8 @@ def test_key_matches_brute_force_equivalence():
         pool = [random_packing(rng, space, 2, rng.randint(1, 3)) for _ in range(12)]
         for p in pool:
             for q in pool:
-                assert are_equivalent(p, q) == brute_equivalent(p, q)
+                same = canonical_key(p) == canonical_key(q)
+                assert same == brute_equivalent(p, q)
 
 
 def test_insertion_order_does_not_change_key():
@@ -102,9 +108,20 @@ def test_insertion_order_does_not_change_key():
 def test_different_spaces_and_dims_never_compare_equal():
     p = make_packing(TORUS, 1, [(T(0),)])
     q = make_packing(CUBE, 1, [(T(0),)])
-    assert not are_equivalent(p, q)
+    assert canonical_key(p) != canonical_key(q)
     r = make_packing(TORUS, 2, [(T(0), T(1))])
-    assert not are_equivalent(p, r)
+    assert canonical_key(p) != canonical_key(r)
+
+
+@pytest.mark.parametrize("dim", [CANON_MAX_DIM + 1, 2000])
+def test_canonical_form_refuses_dimensions_past_the_cap(dim):
+    # the search recurses once per individualized vertex; past the cap the
+    # library refuses with a typed error instead of exhausting the stack
+    p = empty_packing(TORUS, dim)
+    with pytest.raises(ResourceGuardError):
+        canonical_key(p)
+    with pytest.raises(ResourceGuardError):
+        automorphism_order(p)
 
 
 def test_automorphism_orders_match_brute_force():

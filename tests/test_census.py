@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     brute_extension_classes,
     brute_positive_orders,
+    closed_form_expansion_polys,
     random_packing,
 )
 
@@ -15,15 +16,11 @@ from cubepack import census, extend
 from cubepack.canon import canonical_key
 from cubepack.census import (
     ResourceGuardError,
-    closed_form_expansion_polys,
-    comb_type_counts,
     cube_expansion,
     expected_cubes_limit,
     interpolate_Ck,
     laminated,
     laminated_mass,
-    min_nonextensible,
-    path_stats,
     positive_path_exists,
     replay_is_positive,
     torus_limit_census,
@@ -62,8 +59,8 @@ def test_census_n3_types():
     assert [r.m for r in recs] == [8, 8, 8, 4]
     assert [r.nparams for r in recs] == [7, 7, 6, 6]
     assert expected_cubes_limit(3, recs) / 8 == Fraction(35, 36)
-    best, worst = min_nonextensible(recs)
-    assert best == 4 and len(worst) == 1
+    best = min(r.m for r in recs)
+    assert best == 4 and sum(r.m == best for r in recs) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -215,17 +212,15 @@ def test_finished_checkpoint_bytes_are_pinned(tmp_path, kwargs, digest):
 def test_tracked_paths_consistent():
     recs = torus_limit_census(3, track_paths=True)
     for r in recs:
-        stats = path_stats(r)
-        assert sum(s.probability for s in stats) == r.prob
-        for s in stats:
-            assert sum(k * c for k, c in enumerate(s.histogram)) == r.nparams
+        assert sum(q for _, q in r.paths) == r.prob
+        for hist, _ in r.paths:
+            assert sum(k * c for k, c in enumerate(hist)) == r.nparams
 
 
 def test_tracked_histograms_number_parameters():
     for n in (2, 3):
         for r in torus_limit_census(n, track_paths=True):
-            for s in path_stats(r):
-                hist = s.histogram
+            for hist, _ in r.paths:
                 assert hist[n] == 1
                 assert hist[n - 1] == 1
                 if n >= 3:
@@ -239,9 +234,7 @@ def test_tracked_histograms_number_parameters():
 
 
 def test_untracked_census_has_no_paths():
-    rec = census3()[0]
-    with pytest.raises(ValueError):
-        path_stats(rec)
+    assert census3()[0].paths is None
 
 
 def test_laminated_mass_n3():
@@ -375,7 +368,9 @@ def test_cube_expansion_records_are_pinned():
 
 def test_cube_expansion_type_counts():
     _, recs = cube_expansion(3, 3, return_records=True)
-    assert comb_type_counts(recs, 3) == (1, 2, 3, 7)
+    # classes whose probability vanishes to order at most k, k = 0..3
+    orders = [r.prob.order_at_infinity() for r in recs]
+    assert tuple(sum(o <= k for o in orders) for k in range(4)) == (1, 2, 3, 7)
 
 
 def test_interpolate_Ck_low_orders():

@@ -1,4 +1,4 @@
-"""Extension classes, class sizes, and the two step distributions."""
+"""Extension classes, class sizes, and the maximal-nb classes of the limit."""
 
 import random
 from fractions import Fraction
@@ -16,22 +16,21 @@ from helpers import (
 )
 
 from cubepack import census
-from cubepack.constructions import fixtures, load_fixture
+from cubepack.constructions import (
+    factorization_packing,
+    fixtures,
+    load_fixture,
+    one_factorization,
+)
 from cubepack.extend import (
-    FREE,
     FRESH,
-    Face,
+    ExtensionClass,
     class_representative,
     class_sizes,
-    complex_max_dim,
     enumerate_extension_classes,
-    finite_step_distribution,
     is_extensible,
-    limit_step_distribution,
     max_nb,
     max_nb_classes,
-    poss_complex,
-    serialize_class,
 )
 from cubepack.model import (
     CUBE,
@@ -85,11 +84,10 @@ def test_single_torus_cube_class_sizes_at_n_ten():
         (T(0, 1), FRESH): 18,
         (FRESH, T(1, 1)): 18,
     }
-    dist = dict(finite_step_distribution(p, 10))
-    by_coords = {c.coords: q for c, q in dist.items()}
-    assert by_coords[(T(0, 1), FRESH)] == Fraction(18, 39)
-    assert by_coords[(T(0), T(1, 1))] == Fraction(1, 39)
-    assert sum(by_coords.values()) == 1
+    # the finite-N step probabilities are the size shares
+    total = sum(sizes.values())
+    assert Fraction(sizes[(T(0, 1), FRESH)], total) == Fraction(18, 39)
+    assert Fraction(sizes[(T(0), T(1, 1))], total) == Fraction(1, 39)
 
 
 def test_two_blocked_torus_cubes_have_six_limit_classes():
@@ -106,13 +104,14 @@ def test_two_blocked_torus_cubes_have_six_limit_classes():
         (T(0), FRESH, T(2, 1)),
         (FRESH, T(3, 1), T(2, 1)),
     }
-    dist = limit_step_distribution(p)
-    assert all(q == Fraction(1, 6) for _, q in dist)
 
 
 def test_empty_cube_space_distribution():
+    # the finite-N step probabilities at N = 4 are the size shares
     p = empty_packing(CUBE, 1)
-    dist = {c.coords: q for c, q in finite_step_distribution(p, 4)}
+    classes = enumerate_extension_classes(p)
+    sizes = class_sizes(p, classes, 4)
+    dist = {c.coords: Fraction(s, sum(sizes)) for c, s in zip(classes, sizes)}
     assert dist == {
         (ZERO,): Fraction(1, 5),
         (ONE,): Fraction(1, 5),
@@ -123,16 +122,13 @@ def test_empty_cube_space_distribution():
 def test_limit_distribution_of_empty_packing_is_all_fresh():
     for space in (TORUS, CUBE):
         p = empty_packing(space, 3)
-        dist = limit_step_distribution(p)
-        assert len(dist) == 1
-        assert dist[0][0].coords == (FRESH, FRESH, FRESH)
-        assert dist[0][1] == 1
+        assert max_nb_classes(p) == (ExtensionClass((FRESH, FRESH, FRESH), 3),)
 
 
 def test_torus_tiling_is_not_extensible():
     p = make_packing(TORUS, 1, [(T(0),), (T(0, 1),)])
     assert enumerate_extension_classes(p) == ()
-    assert limit_step_distribution(p) == []
+    assert max_nb_classes(p) == ()
     ok, witness = is_extensible(p)
     assert not ok and witness is None
 
@@ -161,25 +157,47 @@ def test_class_representative_uses_fresh_params():
 
 
 def test_poss_complex_of_boundary_cube():
+    # read with FRESH as a free direction, the classes are the faces of
+    # [0,1]^2 whose points give addable cubes: two vertices and an edge
     p = make_packing(CUBE, 2, [(ZERO, T(0))])
-    faces = poss_complex(p)
-    assert faces == frozenset(
-        [Face((ONE, ZERO), 0), Face((ONE, ONE), 0), Face((ONE, FREE), 1)]
+    assert frozenset(enumerate_extension_classes(p)) == frozenset(
+        [
+            ExtensionClass((ONE, ZERO), 0),
+            ExtensionClass((ONE, ONE), 0),
+            ExtensionClass((ONE, FRESH), 1),
+        ]
     )
-    assert complex_max_dim(faces) == 1
-
-
-def test_poss_complex_rejects_torus_input():
-    with pytest.raises(ValueError):
-        poss_complex(empty_packing(TORUS, 2))
+    assert max_nb(p) == 1
 
 
 def test_serialize_class_patterns():
     p = make_packing(CUBE, 2, [(ZERO, T(0))])
-    faces = sorted(
-        (serialize_class(c) for c in enumerate_extension_classes(p)), key=str
-    )
-    assert faces == [[1, "*"], [1, 0], [1, 1]]
+    assert [c.coords for c in enumerate_extension_classes(p)] == [
+        (ONE, ZERO),
+        (ONE, ONE),
+        (ONE, FRESH),
+    ]
+
+
+def test_at_most_n_torus_cubes_are_extensible():
+    # The easy half of the paper's minimal non-extensible count: the cube
+    # holding, in coordinate i, the opposite of cube i's literal blocks
+    # every cube, so at most n cubes never block all of the torus.
+    rng = random.Random(31)
+    for n in range(1, 7):
+        for _ in range(50):
+            p = random_packing(rng, TORUS, n, rng.randint(0, n))
+            assert p.m <= n
+            assert max_nb(p) is not None
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_factorization_packing_is_nonextensible_with_n_plus_1_cubes(n):
+    # each literal lies in one cube only, so n coordinates block at most n
+    # of the n + 1 cubes: n + 1 is the minimum for odd n
+    p = factorization_packing(one_factorization(n + 1))
+    assert p.m == n + 1
+    assert max_nb(p) is None
 
 
 def test_max_nb_classes_agree_with_full_enumeration():

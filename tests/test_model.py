@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_coordinate_params
+from helpers import brute_coordinate_params, normalize_params
 
 from cubepack.census import cube_expansion, torus_limit_census
 from cubepack.constructions import (
@@ -26,13 +26,11 @@ from cubepack.model import (
     coordinate_params,
     dumps,
     empty_packing,
-    format_cube,
     is_tiling,
     literal,
     load_file,
     loads,
     make_packing,
-    normalize_params,
     opposite,
     overlaps,
     param_of,
@@ -210,8 +208,3 @@ def test_json_file_round_trip(tmp_path):
     path = tmp_path / "packing.json"
     save_file(p, path)
     assert load_file(path) == p
-
-
-def test_format_cube_shows_shifts_and_boundaries():
-    assert format_cube((T(0), T(1, 1), ZERO)) == "(t1, t2+1, 0)"
-    assert format_cube((ONE,)) == "(1)"

@@ -11,7 +11,6 @@ from cubepack.montecarlo import (
     SimConfig,
     _randbelow,
     estimate_expectation,
-    lamination_frequency,
     sample_packing,
 )
 
@@ -147,11 +146,18 @@ def test_histogram_keys_lie_in_zero_probability_census():
     assert top4 == positive
 
 
+def _lamination_frequency(n, N, trials, seed):
+    cfg = SimConfig(space=TORUS, dim=n, N=N, trials=trials, seed=seed,
+                    track_lamination=True)
+    return estimate_expectation(cfg).lamination_frequency
+
+
 def test_lamination_frequency():
-    assert lamination_frequency(1, 100, 10, 0) == 1.0
+    # the 1-dimensional tiling {t, t+1} has a single-parameter coordinate
+    assert _lamination_frequency(1, 100, 10, 0) == 1.0
     # every 2-dimensional terminal is a laminated tiling
-    assert lamination_frequency(2, 100, 50, 1) == 1.0
-    freq = lamination_frequency(3, 500, 3000, 2)
+    assert _lamination_frequency(2, 100, 50, 1) == 1.0
+    freq = _lamination_frequency(3, 500, 3000, 2)
     assert abs(freq - 2 / 3) < 4 * math.sqrt((2 / 3) * (1 / 3) / 3000)
 
 

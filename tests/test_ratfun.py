@@ -17,9 +17,7 @@ from cubepack.ratfun import (
     X,
     expand,
     format_polynomial,
-    format_rational,
     interpolate,
-    parse_rational,
     poly_gcd,
     ratfun,
 )
@@ -211,12 +209,6 @@ def test_interpolate_round_trips_random_polynomials():
         deg = max(p.degree, 0)
         pts = [(x, p(x)) for x in range(deg + 3)]
         assert interpolate(pts, deg) == p
-
-
-def test_rational_formatting():
-    assert format_rational(Fraction(5, 3)) == "5/3"
-    assert format_rational(Fraction(7)) == "7"
-    assert parse_rational("5/3") == Fraction(5, 3)
 
 
 def test_polynomial_formatting():

@@ -1,0 +1,72 @@
+"""The library's public surface is what the program runs.
+
+Every public top-level def or class in src/cubepack must be used by another
+package module, by the benchmark in perfbench/, or by its own module outside
+its definition.  A name only the tests call belongs in tests/helpers.py or
+nowhere; the few kept on purpose are listed with their reasons.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cubepack"
+
+KEPT_FOR_TESTS = {
+    ("model", "loads"): "completes the JSON I/O pair with dumps",
+    ("model", "save_file"): "completes the JSON I/O pair with load_file",
+    ("ratfun", "poly_gcd"): "the property tests check the integer gcd through it",
+    ("census", "replay_is_positive"):
+        "the brute-force order tests check the step rule _positive_cubes through it",
+}
+
+
+def _used_names(tree, skip=None):
+    """Identifiers a module reads: names, attributes and imported names,
+    outside the subtree skip."""
+    used = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def _public_definitions(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _unused_public_names():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    bench = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        bench |= _used_names(ast.parse(path.read_text()))
+    unused = []
+    for module, tree in trees.items():
+        others = set(bench)
+        for other, other_tree in trees.items():
+            if other != module:
+                others |= _used_names(other_tree)
+        for node in _public_definitions(tree):
+            if node.name in others or node.name in _used_names(tree, node):
+                continue
+            unused.append((module, node.name))
+    return unused
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    unused = [name for name in _unused_public_names()
+              if name not in KEPT_FOR_TESTS]
+    assert unused == []
+
