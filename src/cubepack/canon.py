@@ -3,8 +3,12 @@
 Packings are encoded as colored graphs whose automorphisms are exactly the
 allowed relabelings (cube reorder, coordinate permutation, parameter
 renaming with literal swap on the torus, 0/1 reflection in the cube case).
-Canonical labeling is individualization-refinement with orbit pruning, and
-group orders come from a Schreier-Sims chain over the discovered generators.
+Canonical labeling is individualization-refinement with orbit pruning.  The
+search's automorphism generators are cached with the key, and the group
+order is computed from them on the first automorphism_order call, so a
+caller that only compares keys never pays for it.  The order comes from a
+sift-and-close stabilizer chain over those generators, which undercounts
+some groups (see _PermGroup).
 
 Leaves of the search are compared by a certificate: the relabelled edges as
 row-major slots a*nv+b (a < b), ascending and negated.  It orders leaves
@@ -16,6 +20,8 @@ are unchanged by the cheaper certificate.
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .model import (
     CUBE,
@@ -181,7 +187,7 @@ class _Canonicalizer:
         self.gens = []
 
     def run(self):
-        """Return (key bitmap, canonical labelling, automorphism generators)."""
+        """Return (key bitmap, automorphism generators)."""
         cells = _initial_partition(self.colors)
         lab, cell_of, cell_end = [], [0] * self.nv, [0] * self.nv
         for cell in cells:
@@ -192,7 +198,7 @@ class _Canonicalizer:
                 cell_of[v] = start
         _refine(self.adj, lab, cell_of, cell_end, deque(cells))
         self._search(lab, cell_of, cell_end, ())
-        return self._bitmap(self.best_cert), self.best_perm, self.gens
+        return self._bitmap(self.best_cert), self.gens
 
     def _search(self, lab, cell_of, cell_end, prefix):
         # Branch on the first largest non-singleton cell.
@@ -291,47 +297,45 @@ def _orbit(seeds, gens):
     return orb
 
 
-def _compose(a, b):
-    return tuple(a[x] for x in b)
-
-
-def _inverse(a):
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
-
-
 class _PermGroup:
-    """Schreier-Sims chain with base 0..n-1, grown by sift-and-close."""
+    """Stabilizer chain with base 0..n-1, grown by sift-and-close.
+
+    Permutations are numpy index arrays, composed as a[b] (apply b, then a).
+    trans[i] maps an image of point i to a transversal entry and its inverse.
+    A new residue is closed only against the entries at its level and below,
+    so products with higher-level entries are missed and the order can come
+    out too small: 32 for the rod fixture, whose group has order 48.  Every
+    pinned aut value is this algorithm's; the fix is ROADMAP item 0.
+    """
 
     def __init__(self, n):
-        self.n = n
+        self.ident = np.arange(n)
         self.trans = [dict() for _ in range(n)]
 
     def _sift(self, g):
-        for i in range(self.n):
-            j = g[i]
-            if j == i:
-                continue
-            entry = self.trans[i].get(j)
+        while True:
+            moved = g != self.ident
+            i = moved.argmax()
+            if not moved[i]:
+                return None, None
+            entry = self.trans[i].get(int(g[i]))
             if entry is None:
                 return i, g
-            g = _compose(_inverse(entry), g)
-        return None, None
+            g = entry[1][g]
 
     def add(self, g):
-        stack = [tuple(g)]
+        stack = [np.asarray(g)]
         while stack:
-            h = stack.pop()
-            lvl, res = self._sift(h)
+            lvl, res = self._sift(stack.pop())
             if lvl is None:
                 continue
-            self.trans[lvl][res[lvl]] = res
+            inv = np.empty_like(res)
+            inv[res] = self.ident
+            self.trans[lvl][int(res[lvl])] = (res, inv)
             for l in range(lvl + 1):
-                for u in list(self.trans[l].values()):
-                    stack.append(_compose(u, res))
-                    stack.append(_compose(res, u))
+                for u, _ in list(self.trans[l].values()):
+                    stack.append(u[res])
+                    stack.append(res[u])
 
     def order(self):
         o = 1
@@ -340,13 +344,25 @@ class _PermGroup:
         return o
 
 
-def _graph_aut_order(gens, nv):
-    if not gens:
-        return 1
-    group = _PermGroup(nv)
+def _graph_aut_order(gens):
+    """Order of the group generated by the rows of the k x nv array gens."""
+    group = _PermGroup(gens.shape[1])
     for g in gens:
         group.add(g)
     return group.order()
+
+
+@dataclass(slots=True)
+class _CanonResult:
+    """A cached canonical form: the key bytes and the search's generators.
+
+    The generators, one row per permutation, give way to the automorphism
+    order on the first automorphism_order call.
+    """
+
+    key: bytes
+    gens: np.ndarray
+    order: int = None
 
 
 @lru_cache(maxsize=8192)
@@ -356,26 +372,36 @@ def _canon_result(p):
             f"canonical form of dimension {p.dim} exceeds the cap of "
             f"{CANON_MAX_DIM}")
     graph = encode(p)
-    cert, _, gens = _Canonicalizer(graph).run()
+    cert, gens = _Canonicalizer(graph).run()
     counts = {}
     for c in graph.colors:
         counts[c] = counts.get(c, 0) + 1
     header = f"{p.space}|{p.dim}|" + ",".join(f"{c}:{counts[c]}" for c in sorted(counts)) + "|"
-    return header.encode() + cert, _graph_aut_order(gens, len(graph.colors))
+    nv = len(graph.colors)
+    # the smallest unsigned type that holds a vertex: the cache keeps them
+    gens = np.array(gens, dtype=np.min_scalar_type(nv - 1))
+    return _CanonResult(header.encode() + cert, gens.reshape(len(gens), nv))
 
 
 def canonical_key(p):
     """Key invariant under the declared relabeling group, distinct otherwise."""
-    return CanonicalKey(_canon_result(p)[0])
+    return CanonicalKey(_canon_result(p).key)
 
 
 def automorphism_order(p):
     """Order of the packing's automorphism group.
 
-    The graph group is quotiented by the boundary-pair swaps of cube-space
-    coordinates where neither 0 nor 1 occurs; those act trivially on cubes.
+    Computed on the first call for p from the generators cached with its
+    canonical key, by _PermGroup's sift-and-close, which undercounts some
+    groups.  The graph group is quotiented by the boundary-pair swaps of
+    cube-space coordinates where neither 0 nor 1 occurs; those act
+    trivially on cubes.
     """
-    order = _canon_result(p)[1]
+    entry = _canon_result(p)
+    if entry.order is None:
+        entry.order = _graph_aut_order(entry.gens)
+        entry.gens = None
+    order = entry.order
     if p.space == CUBE:
         for j in range(p.dim):
             if not any(cube[j] in (ZERO, ONE) for cube in p.cubes):

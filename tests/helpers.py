@@ -150,6 +150,52 @@ def brute_automorphism_order(p):
     return count
 
 
+def reference_sift_close_order(gens, nv):
+    """canon._PermGroup's order on tuple permutations, a line-by-line oracle.
+
+    The same sift-and-close over base 0..nv-1 in the same stack order, so it
+    has the same known undercount.  Delete it together with the sift-and-close
+    once automorphism orders come from a textbook Schreier-Sims.
+    """
+    def compose(a, b):
+        return tuple(a[x] for x in b)
+
+    def inverse(a):
+        out = [0] * len(a)
+        for i, x in enumerate(a):
+            out[x] = i
+        return tuple(out)
+
+    trans = [dict() for _ in range(nv)]
+
+    def sift(g):
+        for i in range(nv):
+            j = g[i]
+            if j == i:
+                continue
+            entry = trans[i].get(j)
+            if entry is None:
+                return i, g
+            g = compose(inverse(entry), g)
+        return None, None
+
+    for gen in gens:
+        stack = [tuple(gen)]
+        while stack:
+            lvl, res = sift(stack.pop())
+            if lvl is None:
+                continue
+            trans[lvl][res[lvl]] = res
+            for level in range(lvl + 1):
+                for u in list(trans[level].values()):
+                    stack.append(compose(u, res))
+                    stack.append(compose(res, u))
+    order = 1
+    for t in trans:
+        order *= len(t) + 1
+    return order
+
+
 def random_packing(rng, space, dim, steps, classes_of=enumerate_extension_classes):
     """Grow a packing by uniformly random extension classes."""
     p = empty_packing(space, dim)

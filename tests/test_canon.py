@@ -4,16 +4,19 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from helpers import (
     brute_automorphism_order,
     brute_equivalent,
     normalize_params,
     random_packing,
+    reference_sift_close_order,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubepack import canon
 from cubepack.canon import (
     CANON_MAX_DIM,
     ColoredGraph,
@@ -23,7 +26,7 @@ from cubepack.canon import (
     canonical_key,
     encode,
 )
-from cubepack.census import torus_limit_census
+from cubepack.census import cube_expansion, torus_limit_census
 from cubepack.constructions import (
     factorization_packing,
     fixtures,
@@ -177,6 +180,83 @@ def test_schreier_sims_orders():
     assert h.order() == 6
     k = _PermGroup(5)
     assert k.order() == 1
+
+
+def test_automorphism_order_is_computed_lazily(monkeypatch):
+    orders = []
+    graph_aut_order = canon._graph_aut_order
+
+    def spy(gens):
+        orders.append(gens.shape)
+        return graph_aut_order(gens)
+
+    monkeypatch.setattr(canon, "_graph_aut_order", spy)
+    canon._canon_result.cache_clear()
+    for p in (rod_tiling(3), hn_tiling(3), load_fixture("rod")):
+        canonical_key(p)
+    cube_expansion(3, 4)
+    assert orders == []
+    records = torus_limit_census(3)
+    assert len(orders) == len(records)
+    for r in records:
+        assert automorphism_order(r.rep) == r.aut
+    assert len(orders) == len(records)
+
+
+def test_automorphism_order_reuses_the_cached_search(monkeypatch):
+    runs = []
+    run = _Canonicalizer.run
+
+    def spy(self):
+        runs.append(self.nv)
+        return run(self)
+
+    monkeypatch.setattr(_Canonicalizer, "run", spy)
+    canon._canon_result.cache_clear()
+    p = load_fixture("rod")
+    canonical_key(p)
+    automorphism_order(p)
+    assert len(runs) == 1
+
+
+def _search_generators(p):
+    """The generators an uncached canonical-form search stores for p."""
+    return canon._canon_result.__wrapped__(p).gens
+
+
+def _assert_reference_order(gens):
+    nv = gens.shape[1]
+    assert canon._graph_aut_order(gens) == reference_sift_close_order(
+        gens.tolist(), nv)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rod_tiling(5),
+    lambda: rod_tiling(6),
+    lambda: hn_tiling(5),
+    lambda: factorization_packing(one_factorization(8)),
+    lambda: h_matrix(7),
+], ids=["rod5", "rod6", "hn5", "k8", "h7"])
+def test_orders_match_the_tuple_sift_and_close_on_built_packings(build):
+    _assert_reference_order(_search_generators(build()))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_orders_match_the_tuple_sift_and_close_on_fixtures(name):
+    _assert_reference_order(_search_generators(load_fixture(name)))
+
+
+@st.composite
+def _generator_sets(draw):
+    nv = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(nv)), max_size=4))
+    return np.array(gens, dtype=np.int32).reshape(len(gens), nv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generator_sets())
+def test_orders_match_the_tuple_sift_and_close_on_small_groups(gens):
+    _assert_reference_order(gens)
 
 
 # SHA-256 over the key bytes of the corpus below, in order, as computed by
