@@ -6,7 +6,6 @@ from .model import (
     TORUS,
     ZERO,
     DimensionError,
-    GridError,
     InvalidDiscretePackingError,
     Packing,
     Violation,
@@ -19,7 +18,6 @@ from .model import (
     opposite,
     overlaps,
     param_of,
-    phi,
     phi_grid,
     shift_of,
     validate,
@@ -31,7 +29,6 @@ __all__ = [
     "TORUS",
     "ZERO",
     "DimensionError",
-    "GridError",
     "InvalidDiscretePackingError",
     "Packing",
     "Violation",
@@ -44,7 +41,6 @@ __all__ = [
     "opposite",
     "overlaps",
     "param_of",
-    "phi",
     "phi_grid",
     "shift_of",
     "validate",

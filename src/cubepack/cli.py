@@ -32,7 +32,7 @@ from .constructions import (
     rod_tiling,
 )
 from .discrete import finite_census
-from .extend import is_extensible
+from .extend import max_nb
 from .model import (
     CUBE,
     TORUS,
@@ -322,7 +322,7 @@ def verify_fixture(name):
         m=p.m,
         nparams=p.nparams,
         aut=automorphism_order(p),
-        extensible=is_extensible(p)[0],
+        extensible=max_nb(p) is not None,
         positive=positive_path_exists(p),
     )
     expected = _FIXTURE_EXPECTATIONS.get(name)
@@ -380,7 +380,7 @@ def _cmd_canon(args, out):
         "m": p.m,
         "nparams": p.nparams,
         "aut": automorphism_order(p),
-        "extensible": is_extensible(p)[0],
+        "extensible": max_nb(p) is not None,
         "tiling": is_tiling(p),
     }
     json.dump(payload, out, indent=2)

@@ -15,12 +15,10 @@ from .model import (
     ONE,
     TORUS,
     ZERO,
-    add_cube,
     coordinate_params,
     literal,
     opposite,
     param_of,
-    validate,
 )
 
 # Pattern code for a coordinate left fresh; sorts after every literal code.
@@ -225,24 +223,6 @@ def max_nb_classes(p):
     """
     k, covers = _min_covers(p, ties=True)
     return tuple(ExtensionClass(vec, p.dim - k) for vec in covers)
-
-
-def is_extensible(p):
-    """Extensibility with a verified witness.
-
-    Returns:
-        (True, witness ExtensionClass) or (False, None).  The witness is the
-        first maximal-nb class; adding its representative cube validates.
-    """
-    classes = max_nb_classes(p)
-    if not classes:
-        return False, None
-    witness = classes[0]
-    added = add_cube(p, class_representative(p, witness))
-    bad = validate(added)
-    if bad is not None:
-        raise AssertionError(f"extension witness failed validation: {bad}")
-    return True, witness
 
 
 def class_representative(p, c):

@@ -8,7 +8,6 @@ exactly when some coordinate separates them by 1.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 TORUS = "torus"
 CUBE = "cube"
@@ -23,10 +22,6 @@ ONE = -2
 
 class DimensionError(ValueError):
     """Cubes or coordinate vectors of mismatched length."""
-
-
-class GridError(ValueError):
-    """A discrete coordinate that is not a multiple of 1/N on the grid."""
 
 
 class InvalidDiscretePackingError(ValueError):
@@ -185,9 +180,12 @@ def coordinate_params(p):
 
 
 def phi_grid(kvecs, N, space):
-    """phi on integer grid indices (coordinate value k means k/N).
+    """The projection phi of a packing on the (1/N)-grid to its type.
 
-    Torus indices are taken mod 2N; cube indices must lie in 0..N.
+    kvecs are the cubes' integer grid indices (index k means k/N): taken
+    mod 2N on the torus, in 0..N in the cube.  Parameters are numbered in
+    first-occurrence order: one per (coordinate, residue mod N) on the
+    torus, one per (coordinate, interior index) in the cube.
     """
     n = None
     rows = []
@@ -240,33 +238,6 @@ def grid_overlaps(a, b, N, space):
     if space == TORUS:
         return all((x - y) % (2 * N) != N for x, y in zip(a, b))
     return all({x, y} != {0, N} for x, y in zip(a, b))
-
-
-def phi(discrete, N, space):
-    """Project a discrete packing with corners on the (1/N)-grid to its type.
-
-    Args:
-        discrete: sequence of coordinate vectors; entries are Fractions,
-            ints, or strings acceptable to Fraction.  Torus values are read
-            mod 2, cube values must lie in [0, 1].
-        N: grid resolution.
-        space: TORUS or CUBE.
-
-    Returns:
-        The combinatorial Packing, parameters numbered in first-occurrence
-        order: one parameter per (residue class mod 1, coordinate) on the
-        torus, one per (interior value, coordinate) in the cube case.
-    """
-    kvecs = []
-    for vec in discrete:
-        row = []
-        for v in vec:
-            k = Fraction(v) * N
-            if k.denominator != 1:
-                raise GridError(f"coordinate {v} is not a multiple of 1/{N}")
-            row.append(int(k))
-        kvecs.append(row)
-    return phi_grid(kvecs, N, space)
 
 
 def code_to_json(code):

@@ -14,7 +14,6 @@ any longer run's with the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
 
@@ -41,7 +40,8 @@ from .model import (
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation request; dim >= 0, trials >= 1 and N >= 2."""
+    """One simulation request; dim >= 0, trials >= 1, N >= 2 and
+    0 <= seed < 2^64, the range of the sampler's 64-bit key word."""
 
     space: str
     dim: int
@@ -59,6 +59,8 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if self.N < 2:
             raise ValueError("N must be >= 2")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -74,13 +76,8 @@ class SimReport:
 
 
 @lru_cache(maxsize=65536)
-def _classes(p):
-    return enumerate_extension_classes(p)
-
-
-@lru_cache(maxsize=65536)
 def _class_sizes(p, N):
-    classes = _classes(p)
+    classes = enumerate_extension_classes(p)
     sizes = class_sizes(p, classes, N)
     return classes, sizes, sum(sizes)
 
@@ -103,21 +100,21 @@ def _randbelow(rng, total):
 
 
 @lru_cache(maxsize=65536)
-def _child(p, idx):
-    """The packing after adding the representative of class idx, so the
+def _child(p, c):
+    """The packing after adding the representative of class c, so the
     transition is the same for every member of the class."""
-    return add_cube(p, class_representative(p, _classes(p)[idx]))
+    return add_cube(p, class_representative(p, c))
 
 
 def sample_packing(cfg, rng):
-    """One full trial; returns (combinatorial type, anchors, cube count).
+    """One full trial; returns (combinatorial type, grid, cube count).
 
-    anchors are exact Fractions on the (1/N)-grid and the packing is their
-    type under the grid projection, so cube-space trials where two cubes
-    draw the same interior value share a parameter.  A coarser tracking
-    packing drives the class enumeration; it can only differ from the
-    returned one by splitting such coincidences, which never changes the
-    step distribution.
+    grid holds each cube's integer grid indices (index k means k/N), in
+    drawing order, and the packing is their type under phi_grid, so
+    cube-space trials where two cubes draw the same interior value share
+    a parameter.  A coarser tracking packing drives the class enumeration;
+    it can only differ from the returned one by splitting such
+    coincidences, which never changes the step distribution.
     """
     N = cfg.N
     p = empty_packing(cfg.space, cfg.dim)
@@ -134,10 +131,7 @@ def sample_packing(cfg, rng):
                     raise AssertionError(
                         f"terminal count {p.m} inside the forbidden gap"
                     )
-            anchors = tuple(
-                tuple(Fraction(k, N) for k in vec) for vec in grid
-            )
-            return phi_grid(grid, N, cfg.space), anchors, p.m
+            return phi_grid(grid, N, cfg.space), tuple(grid), p.m
         draw = _randbelow(rng, total)
         for idx, size in enumerate(sizes):
             if draw < size:
@@ -145,7 +139,7 @@ def sample_packing(cfg, rng):
             draw -= size
         vec = _decode_member(p, classes[idx], draw, N, assignment)
         grid.append(vec)
-        p = _child(p, idx)
+        p = _child(p, classes[idx])
 
 
 def _decode_member(p, cls, member, N, assignment):
@@ -194,7 +188,8 @@ def _nth_free_class(taken, N, slot):
 
 
 def _run_trial(cfg, trial, want_key):
-    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, trial]))
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([cfg.seed, trial], dtype=np.uint64)))
     packing, _, count = sample_packing(cfg, rng)
     lam = laminated(packing) if cfg.track_lamination else None
     key = canonical_key(packing).hex() if want_key else None

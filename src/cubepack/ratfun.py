@@ -1,12 +1,14 @@
 """Exact univariate polynomials, rational functions, and truncated series.
 
-Polynomials, series and interpolation run on Fractions.  Rational functions
-run on integer coefficients: numerator and denominator are int tuples kept
-coprime in Z[x] with a positive leading denominator coefficient, and their
-gcds come from primitive remainder sequences (Collins 1967), so the sweep's
-probability arithmetic never touches a Fraction.  Series live in the
-variable x = 1/(N-1), the expansion parameter of the expected-cube-count
-asymptotics.
+One set of coefficient-tuple helpers does the arithmetic: Polynomials
+(the interpolation results) run it on Fraction coefficients, rational
+functions on integer ones.  A rational function's numerator and
+denominator are int tuples kept coprime in Z[x] with a positive leading
+denominator coefficient, and their gcds come from primitive remainder
+sequences (Collins 1967), so the sweep's probability arithmetic never
+touches a Fraction.  A Series holds the coefficients that expand returns,
+in the variable x = 1/(N-1), the expansion parameter of the
+expected-cube-count asymptotics.
 """
 
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ def _trim(coeffs):
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense coefficient tuple, constant term first, no trailing zeros."""
+    """Dense Fraction coefficient tuple, constant term first, no trailing zeros."""
 
     coeffs: tuple = ()
 
@@ -49,14 +51,7 @@ class Polynomial:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def __add__(self, other):
-        other = _as_poly(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return Polynomial(_zadd(self.coeffs, _as_poly(other).coeffs))
 
     def __neg__(self):
         return Polynomial(tuple(-c for c in self.coeffs))
@@ -65,14 +60,7 @@ class Polynomial:
         return self + (-_as_poly(other))
 
     def __mul__(self, other):
-        other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial(_zmul(self.coeffs, _as_poly(other).coeffs))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -83,14 +71,7 @@ class Polynomial:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = ONE_POLY
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return Polynomial(_zpow(self.coeffs, k))
 
     def scale(self, c):
         return Polynomial(tuple(Fraction(c) * a for a in self.coeffs))
@@ -101,10 +82,7 @@ class Polynomial:
         return self.scale(1 / self.leading())
 
     def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
 
 def _as_poly(v):
@@ -114,7 +92,6 @@ def _as_poly(v):
 
 
 X = Polynomial((0, 1))
-ONE_POLY = Polynomial((1,))
 
 
 # Test-only: the property tests check the integer gcd (_zgcd) through it.
@@ -125,7 +102,9 @@ def poly_gcd(a, b):
     return Polynomial(_zgcd(*_int_coeffs(a.coeffs, b.coeffs))).monic()
 
 
-# Polynomials in Z[x] as int tuples, constant term first, no trailing zeros.
+# Polynomials as coefficient tuples, constant term first, no trailing zeros.
+# _zadd, _zmul, _zpow and _horner work over any coefficient ring (the
+# Polynomial class runs them on Fractions); the rest assume Z[x].
 
 def _int_coeffs(*polys):
     """Clear the denominators of Fraction coefficient tuples by one common factor."""
@@ -143,6 +122,8 @@ def _zadd(a, b):
 
 
 def _zmul(a, b):
+    if not a or not b:
+        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -156,6 +137,13 @@ def _zpow(a, k):
     for _ in range(k):
         out = _zmul(out, a)
     return out
+
+
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _zprimitive(a):
@@ -292,7 +280,7 @@ class RationalFunction:
         return _make(_zpow(f.num, abs(k)), _zpow(f.den, abs(k)))
 
     def __call__(self, x):
-        return Polynomial(self.num)(x) / Polynomial(self.den)(x)
+        return Fraction(_horner(self.num, x)) / _horner(self.den, x)
 
     def order_at_infinity(self):
         """Vanishing order as the variable grows: deg den - deg num."""
@@ -364,23 +352,6 @@ class Series:
         if len(coeffs) != self.order + 1:
             raise ValueError("series needs exactly order+1 coefficients")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, Series):
-            k = min(self.order, other.order)
-            return Series(tuple(self.coeffs[i] + other.coeffs[i] for i in range(k + 1)), k)
-        return Series((self.coeffs[0] + Fraction(other),) + self.coeffs[1:], self.order)
-
-    __radd__ = __add__
-
-    def scale(self, c):
-        return Series(tuple(Fraction(c) * a for a in self.coeffs), self.order)
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 def _shifted_basis(coeffs):

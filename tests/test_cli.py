@@ -304,6 +304,10 @@ _JSON = st.recursive(
         (["construct", "--product", _OVERLAPPING, _OVERLAPPING], 1),
         (["canon", "--in", _empty_torus_json(cli.CANON_MAX_DIM + 1)], 2),
         (["canon", "--in", _empty_torus_json(2000)], 2),
+        (["simulate", "--space", "torus", "--dim", "2", "--N", "5",
+          "--trials", "3", "--seed", "-1"], 1),
+        (["simulate", "--space", "torus", "--dim", "2", "--N", "5",
+          "--trials", "3", "--seed", str(2 ** 70)], 1),
     ],
 )
 def test_exit_codes(argv, expected, capsys, tmp_path):
@@ -311,7 +315,8 @@ def test_exit_codes(argv, expected, capsys, tmp_path):
     assert code == expected
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if expected == 1 and any(a.startswith("json:") for a in argv):
+    if expected == 1 and any(a.startswith("json:") or a == "--seed"
+                             for a in argv):
         assert err.count("\n") == 1
     if expected == 2:
         assert err.startswith("refused: ") and err.count("\n") == 1

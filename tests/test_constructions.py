@@ -23,7 +23,7 @@ from cubepack.constructions import (
     product,
     rod_tiling,
 )
-from cubepack.extend import is_extensible, max_nb_classes
+from cubepack.extend import max_nb, max_nb_classes
 from cubepack.model import (
     CUBE,
     TORUS,
@@ -86,11 +86,11 @@ def test_product_offsets_past_sparse_parameter_ids():
 def test_product_extensibility():
     k4 = factorization_packing(one_factorization(4))
     single = make_packing(TORUS, 1, [(literal(0, 0),)])
-    assert not is_extensible(k4)[0]
-    assert not is_extensible(product(k4, k4))[0]
-    assert is_extensible(product(single, k4))[0]
-    assert is_extensible(product(k4, single))[0]
-    assert is_extensible(product(single, single))[0]
+    assert max_nb(k4) is None
+    assert max_nb(product(k4, k4)) is None
+    assert max_nb(product(single, k4)) is not None
+    assert max_nb(product(k4, single)) is not None
+    assert max_nb(product(single, single)) is not None
 
 
 def test_product_tiling_closure():
@@ -210,14 +210,14 @@ def test_factorization_packing_k4():
     p = factorization_packing(one_factorization(4))
     assert p.dim == 3 and p.m == 4 and p.nparams == 6
     assert validate(p) is None
-    assert not is_extensible(p)[0]
+    assert max_nb(p) is None
 
 
 def test_factorization_packing_k6():
     p = factorization_packing(one_factorization(6))
     assert p.dim == 5 and p.m == 6 and p.nparams == 15
     assert validate(p) is None
-    assert not is_extensible(p)[0]
+    assert max_nb(p) is None
 
 
 def test_factorization_packing_each_literal_once():

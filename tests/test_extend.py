@@ -28,7 +28,6 @@ from cubepack.extend import (
     class_representative,
     class_sizes,
     enumerate_extension_classes,
-    is_extensible,
     max_nb,
     max_nb_classes,
 )
@@ -129,24 +128,40 @@ def test_torus_tiling_is_not_extensible():
     p = make_packing(TORUS, 1, [(T(0),), (T(0, 1),)])
     assert enumerate_extension_classes(p) == ()
     assert max_nb_classes(p) == ()
-    ok, witness = is_extensible(p)
-    assert not ok and witness is None
+    assert max_nb(p) is None
 
 
 def test_lone_interior_cube_blocks_everything_in_cube_space():
     # an anchor interior in every coordinate leaves no addable position
     p = make_packing(CUBE, 2, [(T(0), T(1))])
     assert enumerate_extension_classes(p) == ()
-    assert not is_extensible(p)[0]
+    assert max_nb(p) is None
 
 
 def test_extension_witness_validates():
     p = make_packing(TORUS, 3, [(T(0), T(1), T(2)), (T(0, 1), T(3), T(4))])
-    ok, witness = is_extensible(p)
-    assert ok
+    assert max_nb(p) is not None
+    witness = max_nb_classes(p)[0]
     grown = add_cube(p, class_representative(p, witness))
     assert validate(grown) is None
     assert grown.m == 3
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    space=st.sampled_from((TORUS, CUBE)),
+    dim=st.integers(1, 4),
+    steps=st.integers(0, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_class_representative_validates(space, dim, steps, seed):
+    # grown by the oracle, so the packings do not depend on the walk
+    p = random_packing(random.Random(seed), space, dim, steps,
+                       brute_extension_classes)
+    classes = enumerate_extension_classes(p)
+    for c in classes:
+        assert validate(add_cube(p, class_representative(p, c))) is None
+    assert (max_nb(p) is None) == (classes == ())
 
 
 def test_class_representative_uses_fresh_params():

@@ -1,7 +1,6 @@
 """Core representation: coordinates, overlap, validation, phi, JSON."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -21,7 +20,6 @@ from cubepack.model import (
     TORUS,
     ZERO,
     DimensionError,
-    GridError,
     InvalidDiscretePackingError,
     coordinate_params,
     dumps,
@@ -34,7 +32,6 @@ from cubepack.model import (
     opposite,
     overlaps,
     param_of,
-    phi,
     phi_grid,
     save_file,
     shift_of,
@@ -120,34 +117,30 @@ def test_tiling_is_full_count():
 
 
 def test_phi_identifies_residue_classes_on_torus():
-    p = phi([(Fraction(1, 2),), (Fraction(3, 2),)], 4, TORUS)
+    # grid index k means the coordinate k/N: here 1/2 and 3/2
+    p = phi_grid([(2,), (6,)], 4, TORUS)
     assert p.cubes == ((T(0),), (T(0, 1),))
 
 
 def test_phi_two_dim_example():
-    rows = [(Fraction(1, 4), Fraction(1, 2)), (Fraction(5, 4), Fraction(3, 4))]
-    p = phi(rows, 4, TORUS)
+    # (1/4, 1/2) and (5/4, 3/4)
+    p = phi_grid([(1, 2), (5, 3)], 4, TORUS)
     assert p.cubes == ((T(0), T(1)), (T(0, 1), T(2)))
     assert validate(p) is None
 
 
 def test_phi_cube_space_boundaries_and_interior():
-    p = phi([(0,), (1,)], 4, CUBE)
+    p = phi_grid([(0,), (4,)], 4, CUBE)
     assert p.cubes == ((ZERO,), (ONE,))
-    q = phi([(Fraction(1, 4),)], 4, CUBE)
+    q = phi_grid([(1,)], 4, CUBE)
     assert q.cubes == ((T(0),),)
-
-
-def test_phi_rejects_off_grid_coordinates():
-    with pytest.raises(GridError):
-        phi([(Fraction(1, 3),)], 4, TORUS)
 
 
 def test_phi_rejects_overlapping_discrete_cubes():
     with pytest.raises(InvalidDiscretePackingError):
-        phi([(0, 0), (Fraction(1, 4), Fraction(1, 2))], 4, CUBE)
+        phi_grid([(0, 0), (1, 2)], 4, CUBE)
     with pytest.raises(InvalidDiscretePackingError):
-        phi([(0,), (Fraction(1, 2),)], 2, TORUS)
+        phi_grid([(0,), (1,)], 2, TORUS)
 
 
 def test_phi_rejects_cube_anchor_outside_unit_box():

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import count_addable_positions
+
 from cubepack.census import torus_limit_census
-from cubepack.model import CUBE, TORUS, phi
+from cubepack.model import CUBE, TORUS, phi_grid
 from cubepack.montecarlo import (
     SimConfig,
     _randbelow,
@@ -26,6 +28,20 @@ def test_config_validation():
         SimConfig(space=TORUS, dim=2, N=4, trials=0, seed=0)
     with pytest.raises(ValueError):
         SimConfig(space=TORUS, dim=2, N=1, trials=1, seed=0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError):
+            SimConfig(space=TORUS, dim=2, N=4, trials=1, seed=seed)
+
+
+def test_seeds_above_two_to_the_63_are_distinct():
+    # the key word is unsigned 64-bit: a signed or float cast would map
+    # both seeds to 2^63
+    counts = [
+        estimate_expectation(
+            SimConfig(space=TORUS, dim=3, N=50, trials=40, seed=seed)).counts
+        for seed in (2 ** 63 + 1, 2 ** 63 + 2)
+    ]
+    assert counts[0] != counts[1]
 
 
 def test_torus_line_always_two_cubes():
@@ -65,9 +81,11 @@ def test_returned_packing_is_projection_of_anchors():
     for space, dim, N in cases:
         cfg = SimConfig(space=space, dim=dim, N=N, trials=1, seed=0)
         for trial in range(25):
-            packing, anchors, count = sample_packing(cfg, _rng(4, trial))
-            assert packing.m == count
-            assert phi(anchors, N, space).cubes == packing.cubes
+            packing, grid, count = sample_packing(cfg, _rng(4, trial))
+            assert packing.m == count == len(grid)
+            # no grid position is left addable: the packing is maximal
+            assert count_addable_positions(grid, dim, N, space) == 0
+            assert packing == phi_grid(grid, N, space)
 
 
 def test_expectation_cube_line():

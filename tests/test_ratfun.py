@@ -13,7 +13,6 @@ from cubepack.ratfun import (
     PoleAtInfinityError,
     Polynomial,
     RationalFunction,
-    Series,
     X,
     expand,
     format_polynomial,
@@ -174,16 +173,6 @@ def test_expand_residual_vanishes_to_truncation_order():
         for k, a in enumerate(s.coeffs):
             g = g - RationalFunction(Polynomial((a,)), (X - 1) ** k if k else Polynomial((1,)))
         assert expand(g, K).coeffs == (0,) * (K + 1)
-
-
-def test_series_evaluation_and_sum():
-    s = Series((1, 2, 3), 2)
-    assert s(Fraction(1, 10)) == Fraction(123, 100)
-    t = s + Series((1, 1, 1, 1), 3)
-    assert t.order == 2
-    assert t.coeffs == (2, 3, 4)
-    assert (s + 5).coeffs == (6, 2, 3)
-    assert s.scale(2).coeffs == (2, 4, 6)
 
 
 def test_interpolate_linear_and_quadratic():

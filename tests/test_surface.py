@@ -2,8 +2,10 @@
 
 Every public top-level def or class in src/cubepack must be used by another
 package module, by the benchmark in perfbench/, or by its own module outside
-its definition.  A name only the tests call belongs in tests/helpers.py or
-nowhere; the few kept on purpose are listed with their reasons.
+its definition.  A re-export in the package's __init__ is not a use.  A name
+only the tests call belongs in tests/helpers.py or nowhere; the few kept on
+purpose are listed with their reasons.  No module imports a name it never
+reads.
 """
 
 import ast
@@ -46,9 +48,13 @@ def _public_definitions(tree):
             and not node.name.startswith("_")]
 
 
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def _unused_public_names():
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _package_trees()
     bench = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         bench |= _used_names(ast.parse(path.read_text()))
@@ -56,7 +62,7 @@ def _unused_public_names():
     for module, tree in trees.items():
         others = set(bench)
         for other, other_tree in trees.items():
-            if other != module:
+            if other not in (module, "__init__"):
                 others |= _used_names(other_tree)
         for node in _public_definitions(tree):
             if node.name in others or node.name in _used_names(tree, node):
@@ -70,3 +76,25 @@ def test_every_public_name_has_a_caller_outside_the_tests():
               if name not in KEPT_FOR_TESTS]
     assert unused == []
 
+
+def _unread_imports(tree):
+    """Names a module imports but never reads."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        unread += [name for name in names if name not in read]
+    return unread
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package __init__ imports to re-export, so it is not checked
+    unread = {module: names
+              for module, tree in _package_trees().items()
+              if module != "__init__" and (names := _unread_imports(tree))}
+    assert unread == {}
