@@ -6,8 +6,8 @@ asymptotic-expansion regime, or on a finite grid (discrete.finite_census),
 and decides whether a packing is reached along a positive path
 (positive_path_exists).  All four run the one breadth-first engine, sweep,
 and differ only in their step rule, merge key and weight: Fractions, path
-histograms, rational functions of the grid resolution, or counts of
-positive insertion orders.  Nothing is sampled here.
+histograms, power series in 1/(N-1) truncated at the expansion order, or
+counts of positive insertion orders.  Nothing is sampled here.
 """
 
 from __future__ import annotations
@@ -36,15 +36,16 @@ from .model import (
     param_of,
     to_json_obj,
 )
-from .ratfun import RationalFunction, X, expand, interpolate, ratfun
+from .ratfun import Series, interpolate
 
 
 @dataclass(frozen=True)
 class CensusRecord:
     """One terminal equivalence class of the process.
 
-    prob is a Fraction in the limit and finite regimes and a
-    RationalFunction of the grid resolution in the expansion regime.  paths,
+    prob is a Fraction in the limit and finite regimes and, in the
+    expansion regime, a Series in x = 1/(N-1) truncated at the expansion
+    order: the class's probability through that order.  paths,
     when tracked, is the sorted (histogram, probability) pairs: histogram[k]
     counts the steps that added k new parameters, and probability is the
     mass arriving through paths with that histogram.  None when untracked.
@@ -355,64 +356,69 @@ def positive_path_exists(p, allow_large=False):
     return full in sweep(start, lambda state: state[0], children)
 
 
-def cube_expansion(n, order, allow_long=False, return_records=False):
-    """Expansion of E(M(n)) for cube space in powers of 1/(N-1).
+def cube_expansion(n, order, allow_large=False, return_records=False):
+    """Expansion of E(M(n)) for cube space in powers of x = 1/(N-1).
 
-    Runs the truncated exact process: extension classes whose probability
-    already carries order beyond the target are dropped, and each step's
-    denominator is restricted to the kept classes so the kept probabilities
-    sum to one exactly.  The census mass check therefore certifies the
-    truncation bookkeeping.
+    Runs the truncated process on power series in x cut after x^order.  A
+    step from a state with d_max the largest new-parameter count of its
+    extension classes gives class c the share x^(d_max - nb_c) over the sum
+    of that power over the kept classes; the denominator's constant term
+    counts the top classes, so the share is a power series.  A class is
+    kept when its share's valuation fits the order left after the state's
+    own, so every dropped class would only contribute beyond x^order.  The
+    kept probabilities sum to one through x^order, which the census mass
+    check certifies.
 
     Args:
         n: dimension.
         order: highest power of 1/(N-1) wanted.
-        allow_long: lift the default order <= 4 guard.
+        allow_large: lift the default order <= 4 guard.
         return_records: also return the terminal CensusRecord list with
-            rational-function probabilities.
+            Series probabilities.
 
     Returns:
         Series of length order + 1, or (Series, records).
 
     Raises:
         ValueError: if order is negative.
-        ResourceGuardError: if order > 4 without allow_long.
+        ResourceGuardError: if order > 4 without allow_large.
     """
     if order < 0:
         raise ValueError(f"expansion order must be >= 0, got {order}")
-    if order > 4 and not allow_long:
+    if order > 4 and not allow_large:
         raise ResourceGuardError(f"expansion order {order} needs the long flag")
 
     def children(rep, prob):
         classes = enumerate_extension_classes(rep)
         if not classes:
             return []
-        budget = order - prob.order_at_infinity()
+        budget = order - prob.valuation
         dmax = max(c.nb for c in classes)
         kept = [c for c in classes if dmax - c.nb <= budget]
-        weights = {nb: (X - 1) ** nb for nb in {c.nb for c in kept}}
-        den = sum(weights[c.nb] for c in kept)
-        shares = {nb: RationalFunction(w, den) for nb, w in weights.items()}
+        den = [0] * (order + 1)
+        for c in kept:
+            den[dmax - c.nb] += 1
+        step = prob * Series(den, order).inverse()
         return [(add_cube(rep, class_representative(rep, c)),
-                 prob * shares[c.nb]) for c in kept]
+                 step.shift(dmax - c.nb)) for c in kept]
 
-    one = ratfun(1)
+    zero = Series((0,) * (order + 1), order)
+    one = Series((1,) + (0,) * order, order)
     p0 = empty_packing(CUBE, n)
     start = (0, {_census_key(p0): [p0, one]}, {})
     records = sweep(start, _census_key, children)
-    total = sum(prob for _, prob in records.values())
+    total = sum((prob for _, prob in records.values()), zero)
     if total != one:
         raise AssertionError("expansion mass is not 1")
-    emean = sum(prob * rep.m for rep, prob in records.values())
-    series = expand(emean, order)
+    series = sum((prob * rep.m for rep, prob in records.values()), zero)
     if not return_records:
         return series
     out = [_terminal_record(rep, prob) for rep, prob in records.values()]
-    out.sort(key=lambda r: (r.prob.order_at_infinity(), r.m, r.key.bytes))
+    out.sort(key=lambda r: (r.prob.valuation, r.m, r.key.bytes))
     return series, out
 
 
-def interpolate_Ck(order, dims, expansions=None, allow_long=False):
+def interpolate_Ck(order, dims, expansions=None, allow_large=False):
     """Coefficient polynomials of the expansion as functions of dimension.
 
     Args:
@@ -420,6 +426,7 @@ def interpolate_Ck(order, dims, expansions=None, allow_long=False):
         dims: dimensions to run (or look up) expansions for; needs at least
             order + 2 values so every fit is checked on a spare point.
         expansions: optional {n: Series} to reuse precomputed runs.
+        allow_large: lift cube_expansion's order guard.
 
     Returns:
         List of order + 1 Polynomials in the dimension; coefficient k is
@@ -434,7 +441,7 @@ def interpolate_Ck(order, dims, expansions=None, allow_long=False):
     for n in dims:
         got = expansions.get(n)
         if got is None:
-            got = cube_expansion(n, order, allow_long=allow_long)
+            got = cube_expansion(n, order, allow_large=allow_large)
         series[n] = got
     polys = []
     for k in range(order + 1):

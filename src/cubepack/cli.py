@@ -99,6 +99,8 @@ def _build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--track-lamination", action="store_true")
     p.add_argument("--emit-histogram", action="store_true")
+    p.add_argument("--long-running", action="store_true",
+                   help="lift resource guards")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("construct", help="emit a named packing as JSON")
@@ -113,7 +115,8 @@ def _build_parser():
                    type=int, metavar="2P",
                    help="packing from the round-robin factorization of K_2p")
     g.add_argument("--rod", type=int, metavar="N",
-                   help="rod tiling with default laminated fillers")
+                   help="rod tiling: the 3-dim rod tiling times the "
+                        "laminated (N-3)-dim tiling")
     g.add_argument("--fixture", metavar="NAME",
                    help="a packing from the bundled corpus")
     p.add_argument("--long-running", action="store_true",
@@ -209,7 +212,7 @@ def _parse_dims(text):
 
 def _cmd_expand(args, out):
     dims = _parse_dims(args.dims)
-    polys = interpolate_Ck(args.order, dims, allow_long=args.long_running)
+    polys = interpolate_Ck(args.order, dims, allow_large=args.long_running)
     out.write(f"C_{args.order} = {format_polynomial(polys[args.order])}\n")
     return 0
 
@@ -219,7 +222,8 @@ def _cmd_simulate(args, out):
         space=args.space, dim=args.dim, N=args.N, trials=args.trials,
         seed=args.seed, track_lamination=args.track_lamination,
     )
-    report = estimate_expectation(cfg, emit_histogram=args.emit_histogram)
+    report = estimate_expectation(cfg, emit_histogram=args.emit_histogram,
+                                  allow_large=args.long_running)
     payload = {
         "space": cfg.space,
         "dim": cfg.dim,

@@ -234,14 +234,14 @@ ROD_VECTORS = (
 ROD_MAX_DIM = 12
 
 
-def rod_tiling(n, fillers=None, allow_large=False):
-    """Tiling of 8 rods: each rod axis extended by an (n-3)-dim tiling.
+def rod_tiling(n, allow_large=False):
+    """Tiling of 8 rods: each rod axis extended by a laminated (n-3)-dim tiling.
+
+    For n > 3 this is product(rod_tiling(3), laminated_tiling(n - 3)): each
+    rod gets its own parameter-renamed copy of the filler.
 
     Args:
         n: total dimension, >= 3.
-        fillers: 8 torus tilings of dimension n-3, one per rod, each copied
-            with independent parameters; defaults to laminated tilings.
-            Must be omitted or empty for n = 3.
         allow_large: lift the default n <= ROD_MAX_DIM guard.
 
     Raises:
@@ -251,25 +251,8 @@ def rod_tiling(n, fillers=None, allow_large=False):
         raise ConstructionError("rod tilings need dimension >= 3")
     if n > ROD_MAX_DIM and not allow_large:
         raise ResourceGuardError(f"rod tiling with 2^{n} cubes")
-    k = n - 3
-    if k == 0:
-        if fillers:
-            raise ConstructionError("dimension 3 leaves no room for fillers")
-        return make_packing(TORUS, 3, ROD_VECTORS)
-    if fillers is None:
-        fillers = [laminated_tiling(k)] * 8
-    if len(fillers) != 8:
-        raise ConstructionError("need one filler tiling per rod")
-    cubes = []
-    base = 6
-    for h, filler in zip(ROD_VECTORS, fillers):
-        if filler.space != TORUS or filler.dim != k or not is_tiling(filler):
-            raise ConstructionError(f"fillers must be torus tilings of dimension {k}")
-        for w in filler.cubes:
-            tail = tuple(literal(base + param_of(c), shift_of(c)) for c in w)
-            cubes.append(h + tail)
-        base += filler.nparams
-    return make_packing(TORUS, n, cubes)
+    rods = make_packing(TORUS, 3, ROD_VECTORS)
+    return rods if n == 3 else product(rods, laminated_tiling(n - 3))
 
 
 def fixtures_dir():

@@ -30,7 +30,7 @@ class InvalidDiscretePackingError(ValueError):
 
 class ResourceGuardError(RuntimeError):
     """The request exceeds a size limit.  Where the call takes allow_large
-    or allow_long (the CLI's --long-running), that flag lifts the limit."""
+    (the CLI's --long-running), that flag lifts the limit."""
 
 
 def literal(param, shift=0):

@@ -32,10 +32,16 @@ from .model import (
     TORUS,
     ONE,
     ZERO,
+    ResourceGuardError,
     add_cube,
     empty_packing,
     phi_grid,
 )
+
+
+# Largest dimension simulated without allow_large: one N = 5 trial takes
+# about a second at n = 6, and at n = 7 late steps take half a second each.
+SIM_MAX_DIM = 6
 
 
 @dataclass(frozen=True)
@@ -196,12 +202,20 @@ def _run_trial(cfg, trial, want_key):
     return count, lam, key
 
 
-def estimate_expectation(cfg, emit_histogram=False):
+def estimate_expectation(cfg, emit_histogram=False, allow_large=False):
     """Run all trials and aggregate; deterministic for a given (cfg, seed).
 
     The 95% interval uses the normal approximation, which is adequate at
     the trial counts used here but approximate for small runs.
+
+    Raises:
+        ResourceGuardError: if cfg.dim > SIM_MAX_DIM without allow_large.
     """
+    if cfg.dim > SIM_MAX_DIM and not allow_large:
+        raise ResourceGuardError(
+            f"dimension {cfg.dim} simulation exceeds the default limit "
+            f"{SIM_MAX_DIM}"
+        )
     results = [_run_trial(cfg, t, emit_histogram) for t in range(cfg.trials)]
     counts = tuple(r[0] for r in results)
     mean = sum(counts) / cfg.trials

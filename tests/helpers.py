@@ -35,7 +35,7 @@ from cubepack.model import (
     param_of,
     shift_of,
 )
-from cubepack.ratfun import Polynomial, X, expand, ratfun
+from cubepack.ratfun import Series
 
 
 def realize(p, N):
@@ -399,18 +399,6 @@ def reference_search_min_maximal(balls, npos, limit):
     return found
 
 
-def brute_poly_gcd(a, b):
-    """Monic gcd of two Polynomials by Euclid's algorithm over Fractions."""
-    while not b.is_zero():
-        rem = list(a.coeffs)
-        for k in range(len(rem) - len(b.coeffs), -1, -1):
-            c = rem[k + b.degree] / b.leading()
-            for i, bc in enumerate(b.coeffs):
-                rem[k + i] -= c * bc
-        a, b = b, Polynomial(rem)
-    return a.monic()
-
-
 def normalize_params(p):
     """Renumber parameters densely, 0..N-1, in first-occurrence order."""
     remap = {}
@@ -433,15 +421,21 @@ def closed_form_expansion_polys():
     """Coefficient polynomials (in the dimension) of the closed second-order
     form 1 + 2n/(N+1) + 4n(n-1)/(N+1)^2, re-expanded in powers of 1/(N-1).
 
-    Exact by degree bounds: each coefficient is a polynomial of degree at
-    most 2 in n, fitted through five dimensions with the spare points
-    checked.
+    With x = 1/(N-1), 1/(N+1) = x/(1+2x) = sum_k (-2)^k x^(k+1), and its
+    square is sum_k (k+1)(-2)^k x^(k+2).  Exact by degree bounds: each
+    coefficient is a polynomial of degree at most 2 in n, fitted through
+    five dimensions with the spare points checked.
     """
-    series = {
-        n: expand(ratfun(1) + ratfun(2 * n, X + 1)
-                  + ratfun(4 * n * (n - 1), (X + 1) ** 2), 2)
-        for n in range(1, 6)
-    }
+    def coeff(n, k):
+        c = Fraction(k == 0)
+        if k >= 1:
+            c += 2 * n * (-2) ** (k - 1)
+        if k >= 2:
+            c += 4 * n * (n - 1) * (k - 1) * (-2) ** (k - 2)
+        return c
+
+    series = {n: Series([coeff(n, k) for k in range(3)], 2)
+              for n in range(1, 6)}
     return interpolate_Ck(2, range(1, 6), expansions=series)
 
 

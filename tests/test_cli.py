@@ -308,6 +308,8 @@ _JSON = st.recursive(
           "--trials", "3", "--seed", "-1"], 1),
         (["simulate", "--space", "torus", "--dim", "2", "--N", "5",
           "--trials", "3", "--seed", str(2 ** 70)], 1),
+        (["simulate", "--space", "torus", "--dim", "7", "--N", "5",
+          "--trials", "1", "--seed", "1"], 2),
     ],
 )
 def test_exit_codes(argv, expected, capsys, tmp_path):

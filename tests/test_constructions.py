@@ -32,6 +32,8 @@ from cubepack.model import (
     literal,
     make_packing,
     opposite,
+    param_of,
+    shift_of,
     validate,
 )
 
@@ -237,26 +239,32 @@ def test_rod_tiling_three_is_the_rod_skeleton():
     assert validate(p) is None and is_tiling(p)
 
 
+def _explicit_rod_tiling(n):
+    """Each rod axis followed by its own parameter-renamed copy of the
+    laminated (n-3)-dimensional tiling, parameters numbered rod by rod."""
+    filler = laminated_tiling(n - 3)
+    cubes = []
+    for i, h in enumerate(ROD_VECTORS):
+        base = 6 + i * filler.nparams
+        cubes += [h + tuple(literal(base + param_of(c), shift_of(c)) for c in w)
+                  for w in filler.cubes]
+    return make_packing(TORUS, n, cubes)
+
+
 def test_rod_tiling_higher_dimensions():
     p4 = rod_tiling(4)
     assert p4.m == 16 and p4.nparams == 14
     assert validate(p4) is None and is_tiling(p4)
-    explicit = rod_tiling(4, [one_dim_tiling()] * 8)
-    assert explicit.cubes == p4.cubes
     p5 = rod_tiling(5)
     assert p5.m == 32 and p5.nparams == 30
     assert validate(p5) is None and is_tiling(p5)
+    for n in range(4, ROD_MAX_DIM + 1):
+        assert rod_tiling(n) == _explicit_rod_tiling(n)
 
 
 def test_rod_tiling_rejects_bad_input():
     with pytest.raises(ConstructionError):
         rod_tiling(2)
-    with pytest.raises(ConstructionError):
-        rod_tiling(3, [one_dim_tiling()] * 8)
-    with pytest.raises(ConstructionError):
-        rod_tiling(4, [one_dim_tiling()] * 7)
-    with pytest.raises(ConstructionError):
-        rod_tiling(5, [one_dim_tiling()] * 8)
 
 
 def test_rod_tiling_size_guard():

@@ -8,8 +8,9 @@ import pytest
 from helpers import count_addable_positions
 
 from cubepack.census import torus_limit_census
-from cubepack.model import CUBE, TORUS, phi_grid
+from cubepack.model import CUBE, TORUS, ResourceGuardError, phi_grid
 from cubepack.montecarlo import (
+    SIM_MAX_DIM,
     SimConfig,
     _randbelow,
     estimate_expectation,
@@ -31,6 +32,16 @@ def test_config_validation():
     for seed in (-1, 2 ** 64):
         with pytest.raises(ValueError):
             SimConfig(space=TORUS, dim=2, N=4, trials=1, seed=seed)
+
+
+def test_dimension_guard(monkeypatch):
+    cfg = SimConfig(space=TORUS, dim=SIM_MAX_DIM + 1, N=5, trials=1, seed=1)
+    with pytest.raises(ResourceGuardError):
+        estimate_expectation(cfg)
+    # the override reaches the trials; a stub trial keeps the check instant
+    monkeypatch.setattr("cubepack.montecarlo._run_trial",
+                        lambda cfg, trial, want_key: (1, None, None))
+    assert estimate_expectation(cfg, allow_large=True).counts == (1,)
 
 
 def test_seeds_above_two_to_the_63_are_distinct():

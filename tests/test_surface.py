@@ -17,7 +17,6 @@ PACKAGE = ROOT / "src" / "cubepack"
 KEPT_FOR_TESTS = {
     ("model", "loads"): "completes the JSON I/O pair with dumps",
     ("model", "save_file"): "completes the JSON I/O pair with load_file",
-    ("ratfun", "poly_gcd"): "the property tests check the integer gcd through it",
     ("census", "replay_is_positive"):
         "the brute-force order tests check the step rule _positive_cubes through it",
 }
