@@ -43,26 +43,30 @@ from .ratfun import Series, interpolate
 class CensusRecord:
     """One terminal equivalence class of the process.
 
-    prob is a Fraction in the limit and finite regimes and, in the
-    expansion regime, a Series in x = 1/(N-1) truncated at the expansion
-    order: the class's probability through that order.  paths,
-    when tracked, is the sorted (histogram, probability) pairs: histogram[k]
-    counts the steps that added k new parameters, and probability is the
-    mass arriving through paths with that histogram.  None when untracked.
+    rep is a packing of the class; m and nparams read it.  Terminal
+    classes are never extensible: a terminal state has no extension class
+    of positive size, and a non-extensible type has none at all.  prob is
+    a Fraction in the limit and finite regimes and, in the expansion
+    regime, a Series in x = 1/(N-1) truncated at the expansion order: the
+    class's probability through that order.  paths, when tracked, is the
+    sorted (histogram, probability) pairs: histogram[k] counts the steps
+    that added k new parameters, and probability is the mass arriving
+    through paths with that histogram.  None when untracked.
     """
 
     key: CanonicalKey
     rep: object
-    m: int
-    nparams: int
     prob: object
-    extensible: bool
     aut: int
     paths: tuple = None
 
     @property
-    def zero_prob(self):
-        return self.prob == 0
+    def m(self):
+        return self.rep.m
+
+    @property
+    def nparams(self):
+        return self.rep.nparams
 
 
 class _Paths(dict):
@@ -133,10 +137,8 @@ def _census_key(p):
 
 
 def _terminal_record(rep, prob, paths=None):
-    return CensusRecord(
-        key=canonical_key(rep), rep=rep, m=rep.m, nparams=rep.nparams,
-        prob=prob, extensible=False, aut=automorphism_order(rep), paths=paths,
-    )
+    return CensusRecord(key=canonical_key(rep), rep=rep, prob=prob,
+                        aut=automorphism_order(rep), paths=paths)
 
 
 def torus_limit_census(

@@ -136,13 +136,14 @@ def _build_parser():
 
 
 def _emit_census(records, fmt, out):
+    # every census record is terminal, hence never extensible
     rows = [
         {
             "key": r.key.hex(),
             "m": r.m,
             "nparams": r.nparams,
             "prob": str(r.prob),
-            "extensible": r.extensible,
+            "extensible": False,
             "aut": r.aut,
         }
         for r in records
@@ -155,8 +156,8 @@ def _emit_census(records, fmt, out):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CENSUS_COLUMNS)
     for row in rows:
-        writer.writerow([row[c] if c != "extensible"
-                         else str(row[c]).lower() for c in CENSUS_COLUMNS])
+        writer.writerow([row[c] if c != "extensible" else "false"
+                         for c in CENSUS_COLUMNS])
 
 
 def _cmd_enumerate(args, out):
@@ -263,7 +264,9 @@ def _load_valid(path):
 
 def _cmd_construct(args, out):
     if args.product is not None:
-        p = product(*map(_load_valid, args.product))
+        p, q = map(_load_valid, args.product)
+        _check_construct_size(p.m * q.m, p.dim + q.dim, args)
+        p = product(p, q)
     elif args.hmatrix is not None:
         _check_construct_size(args.hmatrix, args.hmatrix, args)
         p = h_matrix(args.hmatrix)

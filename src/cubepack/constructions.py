@@ -120,18 +120,17 @@ def _conjugate(g, sigma):
     return tuple(g[sigma[ginv[i]]] for i in range(n))
 
 
-def hn_tiling(n, perms=None):
+def hn_tiling(n):
     """Complete h_matrix(n) into a tiling with n(n+1)/2 parameters.
 
     Starts from the n rows of h_matrix(n) plus the same rows with the
     diagonal entry shifted, then adds one cube per permutation in the
-    dihedral-conjugation orbits of perms: the cube for sigma takes, in each
-    coordinate j, the shifted partner of row sigma^-1(j)'s entry.
+    dihedral-conjugation orbits of the bundled cycle-notation table for n
+    (completion_perms): the cube for sigma takes, in each coordinate j, the
+    shifted partner of row sigma^-1(j)'s entry.
 
     Args:
         n: 3, 5, 7 or 9.
-        perms: iterable of cycle-notation strings or 0-based mapping tuples;
-            defaults to the bundled table for n.
 
     Raises:
         ConstructionError: if the orbit cubes do not complete a valid tiling
@@ -139,8 +138,6 @@ def hn_tiling(n, perms=None):
     """
     if n not in (3, 5, 7, 9):
         raise ConstructionError("completion data exists for n in {3, 5, 7, 9}")
-    if perms is None:
-        perms = completion_perms()[str(n)]
     base = h_matrix(n)
     cubes = list(base.cubes)
     for i, z in enumerate(base.cubes):
@@ -148,8 +145,8 @@ def hn_tiling(n, perms=None):
         row[i] = opposite(row[i])
         cubes.append(tuple(row))
     orbit = set()
-    for s in perms:
-        sigma = parse_cycles(s, n) if isinstance(s, str) else tuple(s)
+    for s in completion_perms()[str(n)]:
+        sigma = parse_cycles(s, n)
         for g in dihedral_perms(n):
             orbit.add(_conjugate(g, sigma))
     for sigma in sorted(orbit):

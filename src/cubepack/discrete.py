@@ -1,19 +1,21 @@
 """Exact enumeration on finite grids.
 
-A discrete packing at resolution N anchors its cubes on the (1/N)-grid;
-states are kept canonical under the grid symmetries (coordinate
-permutations, per-coordinate translations on the torus, reflections).  The
-census classes are one step coarser: terminal states merge when a cube
-bijection preserves each pair's number of blocking coordinates, the
-classification calibrated against the published half-step counts.  The
-census runs the sweep engine it shares with the limit census and the cube
-expansion (census.sweep), with grid states as keys.  The heavy steps
-(canonical forms, the minimal-maximal-packing search) are the kernels in
-backend.
+A discrete packing at resolution N anchors its cubes on the (1/N)-grid.
+One per-coordinate rule, model.grid_blocks, decides blocking everywhere
+here: overlap balls, pairwise blocking counts and disjointness checks.
+States are kept canonical under the grid symmetries, x -> (s*x + t) mod
+|axis| per coordinate after a coordinate permutation.  The census classes
+are one step coarser: terminal states merge when a cube bijection
+preserves each pair's number of blocking coordinates, the classification
+calibrated against the published half-step counts.  The census runs the
+sweep engine it shares with the limit census and the cube expansion
+(census.sweep), with grid states as keys.  The heavy steps (canonical
+forms, the minimal-maximal-packing search) are the kernels in backend.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
@@ -22,66 +24,63 @@ import numpy as np
 from . import backend
 from .canon import CanonicalKey
 from .census import CensusRecord, sweep
-from .model import TORUS, ResourceGuardError, grid_overlaps, phi_grid
+from .model import (
+    TORUS,
+    ResourceGuardError,
+    grid_blocks,
+    grid_overlaps,
+    phi_grid,
+)
+
+
+def _axis(N, space):
+    """The grid indices of one coordinate: mod 2N on the torus, 0..N in
+    the cube."""
+    return range(2 * N) if space == TORUS else range(N + 1)
 
 
 def grid_positions(n, N, space):
-    axis = range(2 * N) if space == TORUS else range(N + 1)
-    return [tuple(v) for v in iproduct(axis, repeat=n)]
+    return [tuple(v) for v in iproduct(_axis(N, space), repeat=n)]
 
 
-def _ball_masks(positions, n, N, space):
+def _ball_masks(positions, N, space):
+    """Per position, the bit mask of the positions whose cubes overlap its
+    cube: the product of the axis values its coordinates do not block."""
+    axis = _axis(N, space)
     index = {p: i for i, p in enumerate(positions)}
     masks = []
-    if space == TORUS:
-        offsets = [d for d in iproduct(range(2 * N), repeat=n)
-                   if all(x != N for x in d)]
-        for p in positions:
-            mask = 0
-            for d in offsets:
-                q = tuple((x + y) % (2 * N) for x, y in zip(p, d))
-                mask |= 1 << index[q]
-            masks.append(mask)
-    else:
-        for p in positions:
-            mask = 0
-            for q in positions:
-                if grid_overlaps(p, q, N, space):
-                    mask |= 1 << index[q]
-            masks.append(mask)
+    for p in positions:
+        free = [[y for y in axis if not grid_blocks(x, y, N, space)]
+                for x in p]
+        mask = 0
+        for q in iproduct(*free):
+            mask |= 1 << index[q]
+        masks.append(mask)
     return masks
 
 
 def symmetry_group(n, N, space):
     """All grid symmetries as position-index permutation rows.
 
-    Torus: coordinate permutations x per-coordinate translation and sign.
-    Cube space: coordinate permutations x per-coordinate reflection.
+    Each maps x to (s*x + t) mod |axis| in every coordinate after a
+    coordinate permutation.  Torus: any sign s and translation t.  Cube
+    space: the identity and the reflection (s, t) = (-1, N).
     """
     positions = np.array(grid_positions(n, N, space), dtype=np.int64)
-    npos = positions.shape[0]
-    base = 2 * N if space == TORUS else N + 1
-    weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    rows = []
+    size = len(_axis(N, space))
+    weights = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
     if space == TORUS:
-        percoord = [(s, t) for s in (1, -1) for t in range(2 * N)]
-        combos = iproduct(percoord, repeat=n)
+        percoord = [(s, t) for s in (1, -1) for t in range(size)]
     else:
-        combos = iproduct([(1, 0), (-1, N)], repeat=n)
-    combos = list(combos)
+        percoord = [(1, 0), (-1, N)]
+    combos = [np.array(c, dtype=np.int64).reshape(n, 2)
+              for c in iproduct(percoord, repeat=n)]
+    rows = []
     for sigma in permutations(range(n)):
         perm = positions[:, sigma]
-        for combo in combos:
-            out = np.empty_like(perm)
-            for j, (s, t) in enumerate(combo):
-                if space == TORUS:
-                    out[:, j] = (s * perm[:, j] + t) % (2 * N)
-                else:
-                    out[:, j] = s * perm[:, j] + t
-            rows.append(out @ weights)
-    group = np.unique(np.array(rows, dtype=np.int64), axis=0)
-    assert group.shape[1] == npos
-    return group
+        for c in combos:
+            rows.append((c[:, 0] * perm + c[:, 1]) % size @ weights)
+    return np.unique(np.array(rows, dtype=np.int64), axis=0)
 
 
 def blocking_counts(anchors, N, space):
@@ -90,12 +89,8 @@ def blocking_counts(anchors, N, space):
     counts = [[0] * m for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
-            if space == TORUS:
-                c = sum((x - y) % (2 * N) == N
-                        for x, y in zip(anchors[a], anchors[b]))
-            else:
-                c = sum({x, y} == {0, N}
-                        for x, y in zip(anchors[a], anchors[b]))
+            c = sum(grid_blocks(x, y, N, space)
+                    for x, y in zip(anchors[a], anchors[b]))
             counts[a][b] = counts[b][a] = c
     return counts
 
@@ -158,11 +153,11 @@ def finite_census(n, N, space=TORUS, allow_large=False):
         its discrete stabilizer.
     """
     _check_grid(n, N)
-    npos = (2 * N) ** n if space == TORUS else (N + 1) ** n
+    npos = len(_axis(N, space)) ** n
     if npos > 64 and not allow_large:
         raise ResourceGuardError(f"finite grid with {npos} positions")
     positions = grid_positions(n, N, space)
-    balls = _ball_masks(positions, n, N, space)
+    balls = _ball_masks(positions, N, space)
     group = symmetry_group(n, N, space)
     full = (1 << npos) - 1
 
@@ -188,24 +183,16 @@ def finite_census(n, N, space=TORUS, allow_large=False):
         anchors = [positions[i] for i in state]
         key = blocking_class_key(anchors, n, N, space)
         rep = phi_grid(anchors, N, space)
-        if key.bytes in classes:
-            rec = classes[key.bytes]
-            if rec.m != len(state) or rec.nparams != rep.nparams:
-                raise AssertionError("blocking classes merged unequal shapes")
+        rec = classes.get(key.bytes)
+        if rec is None:
             classes[key.bytes] = CensusRecord(
-                key=rec.key, rep=rec.rep, m=rec.m, nparams=rec.nparams,
-                prob=rec.prob + prob, extensible=rec.extensible, aut=rec.aut,
+                key=key, rep=rep, prob=prob,
+                aut=backend.stabilizer_order(group, state),
             )
-            continue
-        classes[key.bytes] = CensusRecord(
-            key=key,
-            rep=rep,
-            m=len(state),
-            nparams=rep.nparams,
-            prob=prob,
-            extensible=False,
-            aut=backend.stabilizer_order(group, state),
-        )
+        elif rec.m != rep.m or rec.nparams != rep.nparams:
+            raise AssertionError("blocking classes merged unequal shapes")
+        else:
+            classes[key.bytes] = replace(rec, prob=rec.prob + prob)
     out = sorted(classes.values(), key=lambda r: (-r.prob, r.m, r.key.bytes))
     total = sum(r.prob for r in out)
     if total != 1:
@@ -233,7 +220,7 @@ def min_maximal_packing(n, N, allow_large=False):
     if npos > 256 and not allow_large:
         raise ResourceGuardError(f"cover search over {npos} positions")
     positions = grid_positions(n, N, TORUS)
-    balls = _ball_masks(positions, n, N, TORUS)
+    balls = _ball_masks(positions, N, TORUS)
     for limit in range(1, 2 ** n + 1):
         found = backend.search_min_maximal(balls, npos, limit)
         if found is None:

@@ -233,11 +233,17 @@ def phi_grid(kvecs, N, space):
     return make_packing(space, n, cubes)
 
 
+def grid_blocks(x, y, N, space):
+    """Whether grid indices x and y of one coordinate form a blocking pair:
+    N apart mod 2N on the torus, the two faces 0 and N in the cube."""
+    if space == TORUS:
+        return (x - y) % (2 * N) == N
+    return {x, y} == {0, N}
+
+
 def grid_overlaps(a, b, N, space):
     """Whether the grid-anchored cubes at a and b overlap."""
-    if space == TORUS:
-        return all((x - y) % (2 * N) != N for x, y in zip(a, b))
-    return all({x, y} != {0, N} for x, y in zip(a, b))
+    return not any(grid_blocks(x, y, N, space) for x, y in zip(a, b))
 
 
 def code_to_json(code):

@@ -81,7 +81,9 @@ class SimReport:
     histogram: tuple = None
 
 
-@lru_cache(maxsize=65536)
+# Sized by measurement: 400 trials at n = 4, N = 50 keep 92-93 % of an
+# unbounded cache's hits (85 % at 512) and peak at 40 MiB instead of 56.
+@lru_cache(maxsize=1024)
 def _class_sizes(p, N):
     classes = enumerate_extension_classes(p)
     sizes = class_sizes(p, classes, N)
@@ -103,13 +105,6 @@ def _randbelow(rng, total):
         value = int.from_bytes(rng.bytes(nbytes), "little")
         if value < cutoff:
             return value % total
-
-
-@lru_cache(maxsize=65536)
-def _child(p, c):
-    """The packing after adding the representative of class c, so the
-    transition is the same for every member of the class."""
-    return add_cube(p, class_representative(p, c))
 
 
 def sample_packing(cfg, rng):
@@ -145,7 +140,8 @@ def sample_packing(cfg, rng):
             draw -= size
         vec = _decode_member(p, classes[idx], draw, N, assignment)
         grid.append(vec)
-        p = _child(p, classes[idx])
+        # every member of a class has the same transition
+        p = add_cube(p, class_representative(p, classes[idx]))
 
 
 def _decode_member(p, cls, member, N, assignment):

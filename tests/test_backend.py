@@ -52,7 +52,7 @@ def test_search_matches_unpruned_reference(n, top):
     # the pruned search finds a packing at exactly the limits where the
     # unpruned one does; n = 4 stops below its answer 8 to stay quick
     positions = grid_positions(n, 2, TORUS)
-    balls = _ball_masks(positions, n, 2, TORUS)
+    balls = _ball_masks(positions, 2, TORUS)
     for limit in range(1, top + 1):
         found = backend.search_min_maximal(balls, len(positions), limit)
         ref = reference_search_min_maximal(balls, len(positions), limit)

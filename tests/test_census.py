@@ -95,7 +95,7 @@ def test_census_n3_known_constructions():
 def test_census_zero_prob_types():
     recs = torus_limit_census(2, include_zero_prob=True)
     assert len(recs) == 2
-    assert [r.zero_prob for r in recs] == [False, True]
+    assert [r.prob == 0 for r in recs] == [False, True]
     assert [r.nparams for r in recs] == [3, 2]
 
 

@@ -228,6 +228,10 @@ def _empty_torus_json(dim):
     return 'json:{"space": "torus", "dim": %d, "cubes": []}' % dim
 
 
+# each file is within the construction cap; their product of 2^14 cubes in
+# dimension 14 is 4.7 times over it
+_ROD7 = "json:" + dumps(rod_tiling(7))
+
 _CHECKPOINT_WITHOUT_LEVEL = (
     'json:{"regime": "limit", "n": 2, "include_zero_prob": false, '
     '"track_paths": false}'
@@ -310,6 +314,7 @@ _JSON = st.recursive(
           "--trials", "3", "--seed", str(2 ** 70)], 1),
         (["simulate", "--space", "torus", "--dim", "7", "--N", "5",
           "--trials", "1", "--seed", "1"], 2),
+        (["construct", "--product", _ROD7, _ROD7], 2),
     ],
 )
 def test_exit_codes(argv, expected, capsys, tmp_path):

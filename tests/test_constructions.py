@@ -181,9 +181,13 @@ def test_hn_tiling_five():
     assert validate(p) is None and is_tiling(p)
 
 
-def test_hn_tiling_rejects_bad_perms():
+def test_hn_tiling_rejects_bad_perms(monkeypatch, tmp_path):
+    # a completion table whose orbits do not fill the tiling
+    (tmp_path / "table4").mkdir()
+    (tmp_path / "table4" / "perms.json").write_text('{"5": ["(1,2,3,4,5)"]}')
+    monkeypatch.setenv("CUBEPACK_FIXTURES", str(tmp_path))
     with pytest.raises(ConstructionError):
-        hn_tiling(5, perms=["(1,2,3,4,5)"])
+        hn_tiling(5)
     with pytest.raises(ConstructionError):
         hn_tiling(4)
     with pytest.raises(ConstructionError):

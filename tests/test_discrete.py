@@ -3,9 +3,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubepack.census import ResourceGuardError
 from cubepack.discrete import (
+    _ball_masks,
     blocking_class_key,
     blocking_counts,
     finite_census,
@@ -14,7 +17,7 @@ from cubepack.discrete import (
     min_maximal_packing,
     symmetry_group,
 )
-from cubepack.model import CUBE, TORUS
+from cubepack.model import CUBE, TORUS, grid_blocks
 
 
 def test_grid_overlaps_torus():
@@ -27,6 +30,62 @@ def test_grid_overlaps_cube():
     assert grid_overlaps((0,), (1,), 2, CUBE)
     assert not grid_overlaps((0,), (2,), 2, CUBE)
     assert grid_overlaps((1,), (2,), 2, CUBE)
+
+
+def _open_interval_cells(x, N, space):
+    # the half-step cells (k + 1/2)/N that the open unit interval starting
+    # at x/N covers, in R/2Z or in [0, 2]
+    if space == TORUS:
+        return {(x + d) % (2 * N) for d in range(N)}
+    return set(range(x, x + N))
+
+
+@st.composite
+def _anchor_pair(draw):
+    space = draw(st.sampled_from([TORUS, CUBE]))
+    N = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4))
+    top = 2 * N - 1 if space == TORUS else N
+    vec = st.lists(st.integers(0, top), min_size=n, max_size=n)
+    return space, N, draw(vec), draw(vec)
+
+
+@given(_anchor_pair())
+def test_grid_blocks_and_grid_overlaps_agree(case):
+    # a coordinate blocks exactly when the two unit intervals share no open
+    # cell, and two cubes overlap exactly when every coordinate shares one
+    space, N, a, b = case
+    shared = [_open_interval_cells(x, N, space)
+              & _open_interval_cells(y, N, space) for x, y in zip(a, b)]
+    for x, y, cells in zip(a, b, shared):
+        assert grid_blocks(x, y, N, space) == (not cells)
+    assert grid_overlaps(a, b, N, space) == all(shared)
+
+
+@pytest.mark.parametrize("space", [TORUS, CUBE])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_ball_masks_match_pairwise_overlaps(space, N):
+    for n in (1, 2, 3):
+        positions = grid_positions(n, N, space)
+        balls = _ball_masks(positions, N, space)
+        for i, p in enumerate(positions):
+            expected = sum(1 << j for j, q in enumerate(positions)
+                           if grid_overlaps(p, q, N, space))
+            assert balls[i] == expected, (n, p)
+
+
+@pytest.mark.parametrize("space, n, N", [
+    (TORUS, 2, 2), (TORUS, 2, 3), (CUBE, 2, 3), (CUBE, 3, 2),
+])
+def test_symmetry_group_preserves_overlaps(space, n, N):
+    positions = grid_positions(n, N, space)
+    balls = _ball_masks(positions, N, space)
+    for g in symmetry_group(n, N, space).tolist():
+        assert sorted(g) == list(range(len(positions)))
+        for i, ball in enumerate(balls):
+            image = sum(1 << g[j] for j in range(len(positions))
+                        if ball >> j & 1)
+            assert image == balls[g[i]]
 
 
 def test_symmetry_group_sizes():
