@@ -10,16 +10,7 @@ parameters (the limit), montecarlo in proportion to class size (finite N).
 
 from dataclasses import dataclass
 
-from .model import (
-    CUBE,
-    ONE,
-    TORUS,
-    ZERO,
-    coordinate_params,
-    literal,
-    opposite,
-    param_of,
-)
+from .model import CUBE, ONE, TORUS, ZERO, coordinate_params, literal
 
 # Pattern code for a coordinate left fresh; sorts after every literal code.
 FRESH = "*"
@@ -33,40 +24,46 @@ class ExtensionClass:
     nb: int
 
 
-def _candidates_per_coordinate(p):
-    """Candidate codes per coordinate, literals first, FRESH last."""
-    if p.space == TORUS:
-        cands = [[] for _ in range(p.dim)]
-        seen = [set() for _ in range(p.dim)]
+def _blocking_masks(p):
+    """Per coordinate, {candidate: bitmask of the cubes it blocks}.
+
+    One pass over the cubes per coordinate gives each cube's bit to the
+    opposite of its code, the one candidate there that blocks it.  The
+    keys are in walk order: on the torus both literals of every parameter
+    the coordinate holds, ascending; in the cube space ZERO and ONE (an
+    interior parameter blocks nothing).  FRESH, which blocks nothing
+    either, comes last.
+    """
+    torus = p.space == TORUS
+    rows = []
+    for j in range(p.dim):
+        row = {} if torus else {ZERO: 0, ONE: 0}
+        bit = 1
         for cube in p.cubes:
-            for j, code in enumerate(cube):
-                q = param_of(code)
-                if q not in seen[j]:
-                    seen[j].add(q)
-                    cands[j].append(literal(q, 0))
-                    cands[j].append(literal(q, 1))
-        for j in range(p.dim):
-            cands[j].sort()
-            cands[j].append(FRESH)
-        return cands
-    return [[ZERO, ONE, FRESH] for _ in range(p.dim)]
+            code = cube[j]
+            if torus:
+                if code not in row:
+                    row[code] = 0
+                row[code ^ 1] = row.get(code ^ 1, 0) | bit
+            elif code < 0:
+                row[code ^ 1] |= bit
+            bit <<= 1
+        if torus:
+            row = {code: row[code] for code in sorted(row)}
+        row[FRESH] = 0
+        rows.append(row)
+    return rows
 
 
-def _blocked_masks(p, cands):
-    """For each coordinate and candidate, the bitmask of cubes it blocks."""
-    masks = []
-    for j, col in enumerate(cands):
-        row = {}
-        for cand in col:
-            mask = 0
-            if cand != FRESH:
-                want = opposite(cand)
-                for i, cube in enumerate(p.cubes):
-                    if cube[j] == want:
-                        mask |= 1 << i
-            row[cand] = mask
-        masks.append(row)
-    return masks
+def _owners(row):
+    """Each cube bit one coordinate blocks -> the candidate blocking it."""
+    owner = {}
+    for cand, mask in row.items():
+        while mask:
+            low = mask & -mask
+            owner[low] = cand
+            mask ^= low
+    return owner
 
 
 def enumerate_extension_classes(p):
@@ -79,6 +76,22 @@ def enumerate_extension_classes(p):
     already blocked all of them complete it, otherwise only the candidate
     owning the lowest unblocked cube can, and it must block the rest too.
 
+    The same argument closes the last two coordinates, and the walk runs
+    it before descending to the last-but-one, so a dead branch costs no
+    call.  Let rest be the cubes the branch leaves unblocked, low the
+    lowest of them, and P(c), T(c) the mask of the candidate blocking cube
+    c at the last-but-one and the last coordinate (0 when none does).  A
+    class exists below the branch iff rest is empty or
+      1. r = rest - P(low) is empty or lies within T(lowest of r), or
+      2. r = rest - T(low) is empty or lies within P(lowest of r).
+    Each case names a closing pair: the owners it uses, completed by any
+    candidate of the other coordinate (when P(low) is 0, case 1 asks rest
+    within T(low), which any last-but-one candidate completes).
+    Conversely, a closing pair blocks low.  If its last-but-one candidate
+    does, that candidate is low's owner, mask P(low), so the last one
+    blocks r and, r being nonempty, owns its lowest cube: case 1.
+    Otherwise the last one does, and case 2 holds symmetrically.
+
     Returns:
         Tuple of ExtensionClass in deterministic lexicographic order
         (literal codes ascending, FRESH after literals).  Empty when the
@@ -86,18 +99,14 @@ def enumerate_extension_classes(p):
     """
     if p.dim == 0:
         return () if p.cubes else (ExtensionClass((), 0),)
-    cands = _candidates_per_coordinate(p)
-    masks = _blocked_masks(p, cands)
+    rows = _blocking_masks(p)
     full = (1 << len(p.cubes)) - 1
     last = p.dim - 1
-    tail, tail_masks = cands[last], masks[last]
-    owner = {}
-    for cand in tail:
-        mask = tail_masks[cand]
-        while mask:
-            low = mask & -mask
-            owner[low] = cand
-            mask ^= low
+    tail = rows[last]
+    owner = _owners(tail)
+    tail_of = {bit: tail[cand] for bit, cand in owner.items()}
+    pen = rows[last - 1] if last else {}
+    pen_of = {bit: pen[cand] for bit, cand in _owners(pen).items()}
     out = []
     chosen = [None] * last
 
@@ -110,12 +119,22 @@ def enumerate_extension_classes(p):
                 return
             rest = full ^ blocked
             cand = owner.get(rest & -rest)
-            if cand is not None and blocked | tail_masks[cand] == full:
+            if cand is not None and blocked | tail[cand] == full:
                 out.append(ExtensionClass(tuple(chosen) + (cand,), nb))
             return
-        for cand in cands[j]:
+        closing = j + 2 == last
+        for cand, mask in rows[j].items():
+            child = blocked | mask
+            if closing and child != full:
+                rest = full ^ child
+                low = rest & -rest
+                r = rest & ~pen_of.get(low, 0)
+                if r & ~tail_of.get(r & -r, 0):
+                    r = rest & ~tail_of.get(low, 0)
+                    if r & ~pen_of.get(r & -r, 0):
+                        continue
             chosen[j] = cand
-            walk(j + 1, blocked | masks[j][cand], nb + (cand == FRESH))
+            walk(j + 1, child, nb + (cand == FRESH))
 
     walk(0, 0, 0)
     return tuple(out)
@@ -159,8 +178,7 @@ def _min_covers(p, ties):
         the order of enumerate_extension_classes.
     """
     m = len(p.cubes)
-    cands = _candidates_per_coordinate(p)
-    masks = _blocked_masks(p, cands)
+    masks = _blocking_masks(p)
     options = [
         [(j, cand, mask) for j, row in enumerate(masks)
          for cand, mask in row.items() if mask >> i & 1]
@@ -196,7 +214,7 @@ def _min_covers(p, ties):
             chosen[j] = FRESH
 
     walk(0, 0, 0)
-    rank = [{cand: r for r, cand in enumerate(col)} for col in cands]
+    rank = [{cand: r for r, cand in enumerate(row)} for row in masks]
     return best, sorted(covers,
                         key=lambda vec: [r[c] for r, c in zip(rank, vec)])
 

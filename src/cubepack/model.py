@@ -108,7 +108,15 @@ def make_packing(space, dim, cubes):
 
 
 def add_cube(p, coords):
-    return make_packing(p.space, p.dim, p.cubes + (tuple(coords),))
+    """p with one more cube; the cube's unseen parameters join param_coord
+    at their first coordinate, as make_packing would record them."""
+    cube = tuple(coords)
+    owner = dict(p.param_coord)
+    for j, code in enumerate(cube):
+        if is_literal(code):
+            owner.setdefault(param_of(code), j)
+    return Packing(p.space, p.dim, p.cubes + (cube,),
+                   tuple(sorted(owner.items())))
 
 
 def empty_packing(space, dim):

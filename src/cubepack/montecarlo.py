@@ -151,7 +151,7 @@ def _decode_member(p, cls, member, N, assignment):
     the torus (the opposite literal sits at +N mod 2N), in [1, N-1] in the
     cube (blocking values are exactly 0 and N).
     """
-    next_param = p.nparams
+    next_param = p.param_bound
     vec = []
     for j, code in enumerate(cls.coords):
         if code == FRESH:

@@ -261,6 +261,65 @@ def _brute_classes(vecs):
     return tuple(ExtensionClass(vec, vec.count(FRESH)) for vec in vecs)
 
 
+def reference_extension_classes(p):
+    """The extension classes by the plain coordinate walk.
+
+    Every candidate of every coordinate but the last is tried; only the
+    last coordinate is closed in one step, by the owner of the lowest
+    unblocked cube.  No branch is pruned, and candidates and masks are
+    built per candidate by scanning every cube.  Same candidates and order
+    as enumerate_extension_classes, which it checks on packings too big
+    for brute_extension_classes.
+    """
+    if p.dim == 0:
+        return () if p.cubes else (ExtensionClass((), 0),)
+    cands = []
+    for j in range(p.dim):
+        if p.space == TORUS:
+            params = {param_of(cube[j]) for cube in p.cubes}
+            col = sorted(literal(q, s) for q in params for s in (0, 1))
+        else:
+            col = [ZERO, ONE]
+        cands.append(col + [FRESH])
+    masks = [
+        {cand: sum(1 << i for i, cube in enumerate(p.cubes)
+                   if cand != FRESH and cube[j] == cand ^ 1)
+         for cand in col}
+        for j, col in enumerate(cands)
+    ]
+    full = (1 << p.m) - 1
+    last = p.dim - 1
+    tail, tail_masks = cands[last], masks[last]
+    owner = {}
+    for cand in tail:
+        mask = tail_masks[cand]
+        while mask:
+            low = mask & -mask
+            owner[low] = cand
+            mask ^= low
+    out = []
+    chosen = [None] * last
+
+    def walk(j, blocked, nb):
+        if j == last:
+            if blocked == full:
+                for cand in tail:
+                    out.append(ExtensionClass(tuple(chosen) + (cand,),
+                                              nb + (cand == FRESH)))
+                return
+            rest = full ^ blocked
+            cand = owner.get(rest & -rest)
+            if cand is not None and blocked | tail_masks[cand] == full:
+                out.append(ExtensionClass(tuple(chosen) + (cand,), nb))
+            return
+        for cand in cands[j]:
+            chosen[j] = cand
+            walk(j + 1, blocked | masks[j][cand], nb + (cand == FRESH))
+
+    walk(0, 0, 0)
+    return tuple(out)
+
+
 def dp_max_nb_classes(p):
     """The extension classes of maximal nb, by dynamic programming over
     the coordinates.

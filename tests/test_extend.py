@@ -13,9 +13,10 @@ from helpers import (
     dp_max_nb_classes,
     random_packing,
     realize,
+    reference_extension_classes,
 )
 
-from cubepack import census
+from cubepack import census, montecarlo
 from cubepack.constructions import (
     factorization_packing,
     fixtures,
@@ -320,5 +321,32 @@ def test_enumeration_matches_brute_force_on_census_sweep(monkeypatch):
     monkeypatch.setattr(census, "enumerate_extension_classes", record)
     census.torus_limit_census(3, include_zero_prob=True)
     assert len(seen) > 100
+    for p, want in seen.items():
+        assert enumerate_extension_classes(p) == want
+
+
+@pytest.mark.parametrize(
+    "space, dim, N, trials",
+    [(TORUS, 5, 50, 4), (TORUS, 6, 4, 2), (CUBE, 4, 7, 200)],
+)
+def test_enumeration_matches_reference_walk_on_sampler_states(
+        monkeypatch, space, dim, N, trials):
+    # two or more coordinates above the last two, on the states a short
+    # simulation visits; the sampler steps by the unpruned reference walk,
+    # so the states do not depend on the pruned one
+    seen = {}
+
+    def record(p):
+        seen[p] = reference_extension_classes(p)
+        return seen[p]
+
+    monkeypatch.setattr(montecarlo, "enumerate_extension_classes", record)
+    montecarlo._class_sizes.cache_clear()
+    try:
+        montecarlo.estimate_expectation(montecarlo.SimConfig(
+            space=space, dim=dim, N=N, trials=trials, seed=1))
+    finally:
+        montecarlo._class_sizes.cache_clear()
+    assert len(seen) > 25
     for p, want in seen.items():
         assert enumerate_extension_classes(p) == want

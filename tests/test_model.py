@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_coordinate_params, normalize_params
 
@@ -21,6 +23,7 @@ from cubepack.model import (
     ZERO,
     DimensionError,
     InvalidDiscretePackingError,
+    add_cube,
     coordinate_params,
     dumps,
     empty_packing,
@@ -201,3 +204,34 @@ def test_json_file_round_trip(tmp_path):
     path = tmp_path / "packing.json"
     save_file(p, path)
     assert load_file(path) == p
+
+
+@st.composite
+def _raw_cubes(draw):
+    """A space, a dimension and raw cubes over sparse parameter ids; a
+    parameter may recur across coordinates, so the packing may be invalid."""
+    space = draw(st.sampled_from((TORUS, CUBE)))
+    dim = draw(st.integers(1, 4))
+    params = st.sampled_from((0, 2, 3, 7, 11, 40))
+    if space == TORUS:
+        code = st.builds(literal, params, st.integers(0, 1))
+    else:
+        code = st.one_of(st.sampled_from((ZERO, ONE)), st.builds(literal, params))
+    cube = st.tuples(*[code] * dim)
+    return space, dim, draw(st.lists(cube, min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_raw_cubes())
+def test_add_cube_agrees_with_make_packing(case):
+    space, dim, cubes = case
+    p = make_packing(space, dim, cubes[:-1])
+    assert add_cube(p, list(cubes[-1])) == make_packing(space, dim, cubes)
+
+
+def test_add_cube_keeps_first_coordinate_of_reused_parameter():
+    p = make_packing(TORUS, 3, [(literal(3), literal(5), literal(9))])
+    q = add_cube(p, (literal(7), literal(3, 1), literal(7, 1)))
+    # 3 stays with coordinate 0; the new 7 goes to its first coordinate
+    assert q.param_coord == ((3, 0), (5, 1), (7, 0), (9, 2))
+    assert q == make_packing(TORUS, 3, p.cubes + (q.cubes[-1],))

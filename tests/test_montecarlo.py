@@ -8,10 +8,20 @@ import pytest
 from helpers import count_addable_positions
 
 from cubepack.census import torus_limit_census
-from cubepack.model import CUBE, TORUS, ResourceGuardError, phi_grid
+from cubepack.extend import FRESH, ExtensionClass, class_representative
+from cubepack.model import (
+    CUBE,
+    TORUS,
+    ResourceGuardError,
+    literal,
+    make_packing,
+    param_of,
+    phi_grid,
+)
 from cubepack.montecarlo import (
     SIM_MAX_DIM,
     SimConfig,
+    _decode_member,
     _randbelow,
     estimate_expectation,
     sample_packing,
@@ -147,6 +157,8 @@ def test_determinism_across_runs():
          "b46a076e85d9519ec699cad6374909d0514baae3f1318e28378e1b9cba2a1588"),
         (CUBE, 3, 7, 2, 50,
          "8dc393fc9be44504b601552666fbd158bfc2f0fffc60bd6f16587a6820cf01a5"),
+        (TORUS, 5, 50, 3, 12,
+         "902362ab9b24811d9ca0d680052227ff4f386c40e67e5af1211668091b5167d5"),
     ],
 )
 def test_draws_are_pinned(space, dim, N, seed, trials, digest):
@@ -155,6 +167,17 @@ def test_draws_are_pinned(space, dim, N, seed, trials, digest):
     cfg = SimConfig(space=space, dim=dim, N=N, trials=trials, seed=seed)
     counts = estimate_expectation(cfg).counts
     assert hashlib.sha256(json.dumps(counts).encode()).hexdigest() == digest
+
+
+def test_decoded_fresh_params_match_class_representative():
+    # sparse ids: parameter 5 is the largest, so the next one is 6, not
+    # nparams = 2
+    p = make_packing(TORUS, 2, [(literal(0), literal(5))])
+    cls = ExtensionClass((literal(0, 1), FRESH), 1)
+    assignment = [{0: 0}, {5: 3}]
+    vec = _decode_member(p, cls, 0, 4, assignment)
+    fresh = param_of(class_representative(p, cls)[1])
+    assert assignment[1] == {5: 3, fresh: vec[1]}
 
 
 def test_counts_are_a_prefix_of_longer_runs():
