@@ -9,8 +9,12 @@ are one step coarser: terminal states merge when a cube bijection
 preserves each pair's number of blocking coordinates, the classification
 calibrated against the published half-step counts.  The census runs the
 sweep engine it shares with the limit census and the cube expansion
-(census.sweep), with grid states as keys.  The heavy steps (canonical
-forms, the minimal-maximal-packing search) are the kernels in backend.
+(census.sweep), with grid states as keys.  The heavy steps are the
+kernels in backend, and both use the symmetry group: a canonical form
+sorts only the group rows that send one of the state's anchors to the
+smallest orbit minimum among them, and the minimal-maximal-packing search
+tries one root candidate per orbit of the symmetries fixing position 0
+until one succeeds.
 """
 
 from __future__ import annotations
@@ -159,6 +163,7 @@ def finite_census(n, N, space=TORUS, allow_large=False):
     positions = grid_positions(n, N, space)
     balls = _ball_masks(positions, N, space)
     group = symmetry_group(n, N, space)
+    anchored = backend.anchor_rows(group)
     full = (1 << npos) - 1
 
     def children(state, prob):
@@ -173,7 +178,8 @@ def finite_census(n, N, space=TORUS, allow_large=False):
         while addable:
             v = (addable & -addable).bit_length() - 1
             addable &= addable - 1
-            child = backend.canonical_state(group, tuple(sorted(state + (v,))))
+            child = backend.canonical_state(group, anchored,
+                                            tuple(sorted(state + (v,))))
             out.append((child, prob * share))
         return out
 
@@ -210,6 +216,14 @@ def min_maximal_packing(n, N, allow_large=False):
     a completion, so every size below the answer is exhausted, the returned
     size is a proof, and the witness is re-verified directly.
 
+    The search also skips a root candidate once another in its orbit under
+    the stabilizer of position 0 has failed.  That stabilizer is the signed
+    coordinate permutations x -> s*x, so the orbit of p is named by the
+    sorted values min(x, 2N - x).  A symmetry g fixing 0 maps the maximal
+    packings containing 0 and v onto those containing 0 and g(v), so a
+    skipped candidate would have failed as well, and the size and the
+    witness are those of the search without the cut.
+
     Returns:
         (size, witness) with witness a list of anchor tuples.
     """
@@ -221,14 +235,21 @@ def min_maximal_packing(n, N, allow_large=False):
         raise ResourceGuardError(f"cover search over {npos} positions")
     positions = grid_positions(n, N, TORUS)
     balls = _ball_masks(positions, N, TORUS)
+    labels = _root_orbit_labels(positions, N)
     for limit in range(1, 2 ** n + 1):
-        found = backend.search_min_maximal(balls, npos, limit)
+        found = backend.search_min_maximal(balls, npos, limit, labels)
         if found is None:
             continue
         witness = [positions[i] for i in found]
         _check_maximal(witness, found, balls, npos, n, N)
         return len(found), witness
     raise AssertionError("no maximal packing found below the grid size")
+
+
+def _root_orbit_labels(positions, N):
+    """Per torus position, a name of its orbit under the symmetries that
+    fix position 0: the sorted per-coordinate values min(x, 2N - x)."""
+    return [tuple(sorted(min(x, 2 * N - x) for x in p)) for p in positions]
 
 
 def _check_maximal(witness, found, balls, npos, n, N):

@@ -8,7 +8,7 @@ their callers: census draws uniformly over the classes with the most fresh
 parameters (the limit), montecarlo in proportion to class size (finite N).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import CUBE, ONE, TORUS, ZERO, coordinate_params, literal
 
@@ -16,8 +16,7 @@ from .model import CUBE, ONE, TORUS, ZERO, coordinate_params, literal
 FRESH = "*"
 
 
-@dataclass(frozen=True)
-class ExtensionClass:
+class ExtensionClass(NamedTuple):
     """One combinatorial way of adding a cube; nb counts fresh coordinates."""
 
     coords: tuple

@@ -458,6 +458,14 @@ def reference_search_min_maximal(balls, npos, limit):
     return found
 
 
+def reference_canonical_state(group, positions):
+    """Full-group canonical state: the smallest sorted image of positions
+    over every row of group, as a tuple.  Slow, but it uses no anchor index
+    and none of backend.canonical_state's sorting."""
+    cols = list(positions)
+    return min(tuple(sorted(row)) for row in group[:, cols].tolist())
+
+
 def normalize_params(p):
     """Renumber parameters densely, 0..N-1, in first-occurrence order."""
     remap = {}

@@ -154,6 +154,22 @@ def test_finite_census_torus_line_always_tiles():
         assert len(recs) == 1 and recs[0].m == 2 and recs[0].prob == 1
 
 
+@pytest.mark.parametrize("N, expected", [
+    (2, Fraction(2648, 333)),
+    (3, Fraction(10792, 1365)),
+])
+def test_torus_grid_census_gives_the_finite_n_expectation(N, expected):
+    # the independent oracle for finite-N values: the grid census calls
+    # nothing of canon, extend or ratfun, and its E(M) at n = 3 is the
+    # type process's (560N^3 - 528N^2 + 144N - 8)/(72N^3 - 72N^2 + 24N - 3);
+    # only E(M) and the mass are pinned, not the class rows
+    recs = finite_census(3, N, TORUS, allow_large=True)
+    assert sum(r.prob for r in recs) == 1
+    assert sum(r.prob * r.m for r in recs) == expected
+    assert expected == Fraction(560 * N**3 - 528 * N**2 + 144 * N - 8,
+                                72 * N**3 - 72 * N**2 + 24 * N - 3)
+
+
 def test_finite_census_guard():
     with pytest.raises(ResourceGuardError):
         finite_census(3, 3, TORUS)
