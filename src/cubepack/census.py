@@ -35,6 +35,7 @@ from .model import (
     is_literal,
     param_of,
     to_json_obj,
+    validate,
 )
 from .ratfun import Series, interpolate
 
@@ -147,7 +148,6 @@ def torus_limit_census(
     track_paths=False,
     allow_large=False,
     checkpoint_path=None,
-    checkpoint_interval=1,
     _level_order=None,
 ):
     """All terminal classes of the limit process on the n-torus.
@@ -165,20 +165,14 @@ def torus_limit_census(
             per-step new-parameter histograms (CensusRecord.paths).
         allow_large: lift the default n <= 4 guard (n <= 3 with
             include_zero_prob).
-        checkpoint_path: JSON file updated while sweeping and resumed from
-            when present.
-        checkpoint_interval: levels between checkpoint writes, at least 1;
-            the final state is always written.
+        checkpoint_path: JSON file rewritten after every level and resumed
+            from when present.
 
     Returns:
         List of CensusRecord sorted by descending probability.
     """
     if n < 0:
         raise ValueError(f"dimension must be >= 0, got {n}")
-    if checkpoint_interval < 1:
-        raise ValueError(
-            f"checkpoint interval must be >= 1, got {checkpoint_interval}"
-        )
     if include_zero_prob and track_paths:
         raise ValueError("path tracking applies to the positive process only")
     limit = 3 if include_zero_prob else 4
@@ -203,9 +197,8 @@ def torus_limit_census(
         return out
 
     def on_level(level, frontier, records):
-        if level % checkpoint_interval == 0 or not frontier:
-            _save_checkpoint(checkpoint_path, n, include_zero_prob,
-                             track_paths, level, frontier, records)
+        _save_checkpoint(checkpoint_path, n, include_zero_prob, track_paths,
+                         level, frontier, records)
 
     if checkpoint_path is not None and Path(checkpoint_path).exists():
         start = _load_checkpoint(
@@ -257,6 +250,15 @@ def _save_checkpoint(path, n, zero, tracked, level, frontier, records):
 
 
 def _load_checkpoint(path, n, zero, tracked):
+    """The sweep start stored at path.
+
+    Raises:
+        ValueError: unless the header matches this census, level is an
+            integer >= 0, every entry is a [packing, prob, paths] triple
+            holding a valid packing of the n-torus, with paths null exactly
+            when untracked and else histograms that fit the packing, and
+            the stored masses sum to 1.
+    """
     blob = json.loads(Path(path).read_text())
     if (
         not isinstance(blob, dict)
@@ -266,22 +268,44 @@ def _load_checkpoint(path, n, zero, tracked):
         or blob.get("track_paths") != tracked
     ):
         raise ValueError(f"checkpoint {path} does not match this census")
-    for field in ("level", "frontier", "records"):
-        if field not in blob:
-            raise ValueError(f"checkpoint {path} lacks the field {field!r}")
+    for field, kind in (("level", int), ("frontier", list), ("records", list)):
+        if type(blob.get(field)) is not kind:
+            raise ValueError(f"checkpoint {path}: {field!r} is missing or "
+                             f"not of type {kind.__name__}")
+    if blob["level"] < 0:
+        raise ValueError(f"checkpoint {path}: level {blob['level']} < 0")
 
-    def dec(entries):
+    def dec(field):
         table = {}
-        for obj, prob, paths in entries:
-            rep = from_json_obj(obj)
-            if paths is None:
-                weight = Fraction(prob)
-            else:
-                weight = _Paths({tuple(h): Fraction(w) for h, w in paths})
+        for i, entry in enumerate(blob[field]):
+            try:
+                obj, prob, paths = entry
+                rep = from_json_obj(obj)
+                weight = (Fraction(prob) if paths is None else
+                          _Paths({tuple(h): Fraction(w) for h, w in paths}))
+                # validate wants dimension >= 1; the 0-torus states are ()
+                # and ((),).  A histogram counts steps by parameters added.
+                ok = (rep.space == TORUS and rep.dim == n
+                      and (paths is not None) == tracked
+                      and (validate(rep) is None if n
+                           else rep.cubes in ((), ((),)))
+                      and all(len(h) == n + 1 and rep.nparams
+                              == sum(k * c for k, c in enumerate(h))
+                              for h in (weight if tracked else ())))
+            except (TypeError, ValueError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                raise ValueError(f"checkpoint {path}: {field} entry {i} is "
+                                 f"not a state of this census")
             table[_census_key(rep)] = [rep, weight]
         return table
 
-    return blob["level"], dec(blob["frontier"]), dec(blob["records"])
+    frontier, records = dec("frontier"), dec("records")
+    mass = sum(w.prob if tracked else w
+               for _, w in [*frontier.values(), *records.values()])
+    if mass != 1:
+        raise ValueError(f"checkpoint {path}: masses sum to {mass}, not 1")
+    return blob["level"], frontier, records
 
 
 def expected_cubes_limit(n, census=None):
@@ -426,7 +450,8 @@ def interpolate_Ck(order, dims, expansions=None, allow_large=False):
     Args:
         order: highest coefficient index.
         dims: dimensions to run (or look up) expansions for; needs at least
-            order + 2 values so every fit is checked on a spare point.
+            order + 2 distinct values so every fit is checked on a spare
+            point.
         expansions: optional {n: Series} to reuse precomputed runs.
         allow_large: lift cube_expansion's order guard.
 
@@ -434,9 +459,9 @@ def interpolate_Ck(order, dims, expansions=None, allow_large=False):
         List of order + 1 Polynomials in the dimension; coefficient k is
         fitted with degree k and verified on the remaining dimensions.
     """
-    dims = list(dims)
+    dims = sorted(set(dims))
     if len(dims) < order + 2:
-        raise ValueError("need at least order + 2 dimensions")
+        raise ValueError("need at least order + 2 distinct dimensions")
     if expansions is None:
         expansions = {}
     series = {}

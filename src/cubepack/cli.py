@@ -79,8 +79,6 @@ def _build_parser():
                    help="lift resource guards")
     p.add_argument("--checkpoint", metavar="PATH",
                    help="resumable sweep state file")
-    p.add_argument("--checkpoint-interval", type=int, metavar="LEVELS",
-                   help="levels between checkpoint writes (default 1)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -169,8 +167,6 @@ def _cmd_enumerate(args, out):
          "--include-zero-prob applies to the limit regime only"),
         (args.checkpoint is not None and finite,
          "--checkpoint applies to the limit regime only"),
-        (args.checkpoint_interval is not None and args.checkpoint is None,
-         "--checkpoint-interval needs --checkpoint"),
     ):
         if given:
             raise UsageError(message)
@@ -183,8 +179,6 @@ def _cmd_enumerate(args, out):
             include_zero_prob=args.include_zero_prob,
             allow_large=args.long_running,
             checkpoint_path=args.checkpoint,
-            checkpoint_interval=(1 if args.checkpoint_interval is None
-                                 else args.checkpoint_interval),
         )
     else:
         if args.N is None:

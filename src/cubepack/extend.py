@@ -161,42 +161,34 @@ def class_sizes(p, classes, N):
     return tuple(sizes)
 
 
-def _min_covers(p, ties):
-    """Minimum blocking covers: a class of maximal nb blocks every cube
-    through the fewest non-fresh coordinates.
+def max_nb(p):
+    """The largest fresh-parameter count over p's extension classes.
 
-    An unblocked cube is blocked by no chosen literal, so only an unused
-    coordinate can block it: the used ones are a bitmask, with no
-    consistency check.  Fail-first: branch on the unblocked cube with the
-    fewest options.  With ties every cover of the best size is kept;
-    without, each cover found limits the walk to strictly smaller ones.
-
-    Returns:
-        (k, covers): the fewest coordinates blocking every cube (p.dim + 1
-        when none do) and, with ties, the class vectors of that size in
-        the order of enumerate_extension_classes.
+    None when p is non-extensible.  A class of maximal nb blocks every cube
+    through the fewest non-fresh coordinates, so this is p.dim minus the
+    size of a minimum blocking cover.  The cover walk counts only: an
+    unblocked cube is blocked by no chosen literal, so only an unused
+    coordinate can block it, and the used ones are a bitmask with no
+    consistency check.  Fail-first, it branches on the unblocked cube with
+    the fewest options, and each cover it finds limits the walk to
+    strictly smaller ones.
     """
     m = len(p.cubes)
     masks = _blocking_masks(p)
     options = [
-        [(j, cand, mask) for j, row in enumerate(masks)
-         for cand, mask in row.items() if mask >> i & 1]
+        [(j, mask) for j, row in enumerate(masks)
+         for mask in row.values() if mask >> i & 1]
         for i in range(m)
     ]
     full = (1 << m) - 1
     best = p.dim + 1
-    covers = set()
-    chosen = [FRESH] * p.dim
 
     def walk(blocked, used, k):
-        nonlocal best, covers
+        nonlocal best
         if blocked == full:
-            if k < best:
-                best, covers = k, set()
-            if ties:
-                covers.add(tuple(chosen))
+            best = min(best, k)
             return
-        if k + 1 >= best + ties:
+        if k + 1 >= best:
             return
         pick = None
         for i in range(m):
@@ -207,39 +199,22 @@ def _min_covers(p, ties):
                 pick = opts
                 if not opts:
                     return
-        for j, cand, mask in pick:
-            chosen[j] = cand
+        for j, mask in pick:
             walk(blocked | mask, used | 1 << j, k + 1)
-            chosen[j] = FRESH
 
     walk(0, 0, 0)
-    rank = [{cand: r for r, cand in enumerate(row)} for row in masks]
-    return best, sorted(covers,
-                        key=lambda vec: [r[c] for r, c in zip(rank, vec)])
-
-
-def max_nb(p):
-    """The largest fresh-parameter count over p's extension classes.
-
-    None when p is non-extensible.  Counts only: after each cover it finds,
-    the minimum-cover walk searches only for strictly smaller ones, so it
-    lists no class.
-    """
-    k, _ = _min_covers(p, ties=False)
-    return None if k > p.dim else p.dim - k
+    return None if best > p.dim else p.dim - best
 
 
 def max_nb_classes(p):
     """The extension classes attaining the maximal fresh-parameter count.
 
-    A class has maximal nb exactly when its non-fresh coordinates form a
-    minimum blocking cover; the fail-first cover walk (_min_covers) lists
-    every cover of the minimum size, pruning branches that would exceed it.
-    Sorted like enumerate_extension_classes; empty when p is
-    non-extensible.
+    The classes of enumerate_extension_classes whose nb is the maximum, in
+    its order; empty when p is non-extensible.
     """
-    k, covers = _min_covers(p, ties=True)
-    return tuple(ExtensionClass(vec, p.dim - k) for vec in covers)
+    classes = enumerate_extension_classes(p)
+    top = max((c.nb for c in classes), default=None)
+    return tuple(c for c in classes if c.nb == top)
 
 
 def class_representative(p, c):

@@ -143,12 +143,26 @@ def test_census_rejects_malformed_checkpoint(tmp_path, text):
     assert path.read_text() == text
 
 
-def test_census_rejects_bad_checkpoint_interval(tmp_path):
-    for interval in (0, -1):
+@pytest.mark.parametrize("hist, ok", [
+    ([0, 0, 0], True),
+    ([0, 0, 1], False),
+    ([0, 0], False),
+    (["0", 0, 0], False),
+])
+def test_tracked_checkpoint_histograms_must_fit_the_state(tmp_path, hist, ok):
+    # the empty 2-torus, reached by no step, so its histogram is all zero
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "regime": "limit", "n": 2, "include_zero_prob": False,
+        "track_paths": True, "level": 0, "records": [],
+        "frontier": [[{"space": "torus", "dim": 2, "cubes": []}, "1",
+                      [[hist, "1"]]]],
+    }))
+    if ok:
+        assert torus_limit_census(2, track_paths=True, checkpoint_path=path)
+    else:
         with pytest.raises(ValueError):
-            torus_limit_census(2, checkpoint_path=tmp_path / "c.json",
-                               checkpoint_interval=interval)
-    assert not (tmp_path / "c.json").exists()
+            torus_limit_census(2, track_paths=True, checkpoint_path=path)
 
 
 def _sha256(path):
@@ -200,7 +214,7 @@ def test_census_resumes_mid_sweep(tmp_path, track_paths, digest):
 
 @pytest.mark.parametrize("kwargs, digest", [
     ({}, "b54f93b9a7117254516bd81313815c2b341a09b7bec7ab375bd7deb97df948f8"),
-    (dict(track_paths=True, checkpoint_interval=2),
+    (dict(track_paths=True),
      "d238922eaa0c4b82a03ae892c4e52d04768499bceea226af6c5f1a24e26fc514"),
 ])
 def test_finished_checkpoint_bytes_are_pinned(tmp_path, kwargs, digest):
@@ -303,7 +317,8 @@ def test_positive_paths_match_brute_force_orders():
 
 def test_positive_path_exists_lists_no_classes(monkeypatch):
     # the step rule asks for the best count only, never for the class list
-    calls = {"max_nb": 0, "max_nb_classes": 0}
+    calls = {"max_nb": 0, "max_nb_classes": 0,
+             "enumerate_extension_classes": 0}
     for mod in (census, extend):
         for name in calls:
             if hasattr(mod, name):
@@ -311,6 +326,7 @@ def test_positive_path_exists_lists_no_classes(monkeypatch):
                     calls, name, getattr(mod, name)))
     assert not positive_path_exists(load_fixture("dim6-1"))
     assert calls["max_nb_classes"] == 0
+    assert calls["enumerate_extension_classes"] == 0
     assert calls["max_nb"] > 0
 
 

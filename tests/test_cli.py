@@ -81,7 +81,7 @@ def test_enumerate_finite_regime():
 def test_enumerate_checkpoint(tmp_path):
     ck = tmp_path / "sweep.json"
     argv = ["enumerate", "--space", "torus", "--dim", "3",
-            "--checkpoint", str(ck), "--checkpoint-interval", "2"]
+            "--checkpoint", str(ck)]
     code, text = run(argv)
     assert code == 0 and ck.is_file()
     again_code, again_text = run(argv)
@@ -238,6 +238,34 @@ _CHECKPOINT_WITHOUT_LEVEL = (
 )
 
 
+def _checkpoint(**fields):
+    blob = {"regime": "limit", "n": 2, "include_zero_prob": False,
+            "track_paths": False, "level": 1, "frontier": [], "records": []}
+    return "json:" + json.dumps({**blob, **fields})
+
+
+def _torus_state(dim, cubes=()):
+    return {"space": "torus", "dim": dim, "cubes": list(cubes)}
+
+
+_CUBE2 = [{"p": 0, "s": 0}, {"p": 1, "s": 0}]
+
+_DIM3_CHECKPOINT = _checkpoint(frontier=[[_torus_state(3), "1", None]])
+
+# one broken rule each, besides the dimension-3 state above: a non-triple,
+# no mass, a non-integer and a negative level, paths in an untracked
+# census, overlapping cubes, a probability that is no number
+_MALFORMED_CHECKPOINTS = [
+    dict(frontier=[1]),
+    dict(),
+    dict(level=1.5, frontier=[[_torus_state(2), "1", None]]),
+    dict(level=-1, frontier=[[_torus_state(2), "1", None]]),
+    dict(frontier=[[_torus_state(2), "1", []]]),
+    dict(frontier=[[_torus_state(2, [_CUBE2, _CUBE2]), "1", None]]),
+    dict(frontier=[[_torus_state(2), "one", None]]),
+]
+
+
 def _with_json_files(argv, tmp_path):
     out = []
     for i, arg in enumerate(argv):
@@ -286,11 +314,9 @@ _JSON = st.recursive(
         (["enumerate", "--space", "torus", "--dim", "2", "--regime", "finite",
           "--N", "2", "--include-zero-prob"], 1),
         (["enumerate", "--space", "torus", "--dim", "2", "--N", "2"], 1),
+        (["expand", "--order", "2", "--dims", "1,2,3,3"], 1),
         (["enumerate", "--space", "torus", "--dim", "2",
-          "--checkpoint-interval", "2"], 1),
-        (["enumerate", "--space", "torus", "--dim", "2",
-          "--checkpoint", "no/such/dir/ck.json",
-          "--checkpoint-interval", "0"], 1),
+          "--checkpoint", _DIM3_CHECKPOINT], 1),
         (["canon", "--in", "json:{}"], 1),
         (["canon", "--in", "json:[]"], 1),
         (["canon", "--in", _LITERAL_WITHOUT_S], 1),
@@ -315,6 +341,9 @@ _JSON = st.recursive(
         (["simulate", "--space", "torus", "--dim", "7", "--N", "5",
           "--trials", "1", "--seed", "1"], 2),
         (["construct", "--product", _ROD7, _ROD7], 2),
+        *[(["enumerate", "--space", "torus", "--dim", "2",
+            "--checkpoint", _checkpoint(**fields)], 1)
+          for fields in _MALFORMED_CHECKPOINTS],
     ],
 )
 def test_exit_codes(argv, expected, capsys, tmp_path):

@@ -222,13 +222,10 @@ def test_max_nb_classes_agree_with_full_enumeration():
         for _ in range(40):
             dim = rng.randint(1, 3)
             p = random_packing(rng, space, dim, rng.randint(0, 4))
-            classes = enumerate_extension_classes(p)
-            if classes:
-                top = max(c.nb for c in classes)
-                expect = {c for c in classes if c.nb == top}
-            else:
-                expect = set()
-            assert set(max_nb_classes(p)) == expect
+            classes = brute_extension_classes(p)
+            top = max((c.nb for c in classes), default=None)
+            assert max_nb_classes(p) == tuple(c for c in classes
+                                              if c.nb == top)
 
 
 def _assert_max_nb_matches(p, classes):
