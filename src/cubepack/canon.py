@@ -4,11 +4,14 @@ Packings are encoded as colored graphs whose automorphisms are exactly the
 allowed relabelings (cube reorder, coordinate permutation, parameter
 renaming with literal swap on the torus, 0/1 reflection in the cube case).
 Canonical labeling is individualization-refinement with orbit pruning.  The
-search's automorphism generators are cached with the key, and the group
-order is computed from them on the first automorphism_order call, so a
-caller that only compares keys never pays for it.  The order comes from a
-sift-and-close stabilizer chain over those generators, which undercounts
-some groups (see _PermGroup).
+search's automorphism generators are cached with the key.  They have two
+readers.  class_orbit_leaders maps a packing's extension classes through
+them, so a sweep builds one child per orbit of classes.  automorphism_order
+computes the group order from them on its first call for a packing, so a
+caller that only compares keys never pays for it, and then drops them.  The
+order comes from a sift-and-close stabilizer chain over those generators,
+which undercounts some groups (see _PermGroup); the orbit map computes no
+order and needs only that each generator is an automorphism.
 
 Leaves of the search are compared by a certificate: the relabelled edges as
 row-major slots a*nv+b (a < b), ascending and negated.  It orders leaves
@@ -23,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .extend import FRESH
 from .model import (
     CUBE,
     ONE,
@@ -30,6 +34,7 @@ from .model import (
     ZERO,
     ResourceGuardError,
     is_literal,
+    literal,
     param_of,
     shift_of,
 )
@@ -66,66 +71,87 @@ class CanonicalKey:
         return self.bytes.hex()
 
 
+class _Layout:
+    """Vertex numbering of a packing's graph, shared by encode and the
+    class orbit map.
+
+    Cubes come first (0..m-1), then coordinates, parameters, literals
+    (both shifts of each parameter on the torus, one vertex per interior
+    parameter in the cube case), in the cube case the per-coordinate
+    boundary pairs 0_j/1_j, and last the (cube, coordinate) cells.
+    """
+
+    def __init__(self, p):
+        m, n = p.m, p.dim
+        self.params = [q for q, _ in p.param_coord]
+        self.pindex = {q: i for i, q in enumerate(self.params)}
+        npar = len(self.params)
+        self.torus = p.space == TORUS
+        self.coord_base = m
+        self.param_base = m + n
+        self.lit_base = self.param_base + npar
+        self.bound_base = self.lit_base + (2 * npar if self.torus else npar)
+        self.cell_base = self.bound_base + (0 if self.torus else 2 * n)
+
+    def vertex(self, j, code):
+        """The literal or boundary vertex of code at coordinate j."""
+        if is_literal(code):
+            i = self.pindex[param_of(code)]
+            if self.torus:
+                return self.lit_base + 2 * i + shift_of(code)
+            return self.lit_base + i
+        return self.bound_base + 2 * j + (code == ONE)
+
+    def code(self, v):
+        """The code a torus literal or a cube-space boundary vertex holds."""
+        if v >= self.bound_base:
+            return ONE if (v - self.bound_base) & 1 else ZERO
+        i, s = divmod(v - self.lit_base, 2)
+        return literal(self.params[i], s)
+
+
 def encode(p):
     """Colored-graph encoding of a packing.
 
-    Vertices: one per cube, per coordinate, per parameter, per literal (both
-    shifts of each parameter on the torus, a single vertex per interior
-    parameter in the cube case, plus per-coordinate boundary pairs 0_j/1_j
-    sharing one color), and one cell per (cube, coordinate) slot.  A cell is
-    adjacent to its cube, its coordinate, and the literal it holds; literals
-    attach to their parameter, boundary literals attach to their coordinate.
+    Vertices as numbered by _Layout: one per cube, per coordinate, per
+    parameter, per literal (both shifts of each parameter on the torus, a
+    single vertex per interior parameter in the cube case, plus
+    per-coordinate boundary pairs 0_j/1_j sharing one color), and one cell
+    per (cube, coordinate) slot.  A cell is adjacent to its cube, its
+    coordinate, and the literal it holds; literals attach to their
+    parameter, boundary literals attach to their coordinate.
     """
     m, n = p.m, p.dim
-    params = [q for q, _ in p.param_coord]
-    pindex = {q: i for i, q in enumerate(params)}
-    npar = len(params)
+    lay = _Layout(p)
+    npar = len(lay.params)
     colors = [COLOR_CUBE] * m + [COLOR_COORD] * n + [COLOR_PARAM] * npar
-    coord_base = m
-    param_base = m + n
-    lit_base = param_base + npar
-    if p.space == TORUS:
-        nlits = 2 * npar
-        colors += [COLOR_LITERAL] * nlits
-
-        def lit_vertex(code):
-            return lit_base + 2 * pindex[param_of(code)] + shift_of(code)
+    if lay.torus:
+        colors += [COLOR_LITERAL] * (2 * npar)
     else:
-        nlits = npar + 2 * n
         colors += [COLOR_LITERAL] * npar + [COLOR_BOUNDARY] * (2 * n)
-        bound_base = lit_base + npar
-
-        def lit_vertex(code):
-            return lit_base + pindex[param_of(code)]
-    cell_base = lit_base + nlits
     colors += [COLOR_CELL] * (m * n)
-    adj = [set() for _ in range(cell_base + m * n)]
+    adj = [set() for _ in range(lay.cell_base + m * n)]
 
     def link(u, v):
         adj[u].add(v)
         adj[v].add(u)
 
-    if p.space == TORUS:
-        for i in range(npar):
-            link(param_base + i, lit_base + 2 * i)
-            link(param_base + i, lit_base + 2 * i + 1)
-    else:
-        for i in range(npar):
-            link(param_base + i, lit_base + i)
+    for i in range(npar):
+        if lay.torus:
+            link(lay.param_base + i, lay.lit_base + 2 * i)
+            link(lay.param_base + i, lay.lit_base + 2 * i + 1)
+        else:
+            link(lay.param_base + i, lay.lit_base + i)
+    if not lay.torus:
         for j in range(n):
-            link(coord_base + j, bound_base + 2 * j)
-            link(coord_base + j, bound_base + 2 * j + 1)
+            link(lay.coord_base + j, lay.bound_base + 2 * j)
+            link(lay.coord_base + j, lay.bound_base + 2 * j + 1)
     for i, cube in enumerate(p.cubes):
         for j, code in enumerate(cube):
-            cell = cell_base + i * n + j
+            cell = lay.cell_base + i * n + j
             link(cell, i)
-            link(cell, coord_base + j)
-            if is_literal(code):
-                link(cell, lit_vertex(code))
-            elif code == ZERO:
-                link(cell, bound_base + 2 * j)
-            else:
-                link(cell, bound_base + 2 * j + 1)
+            link(cell, lay.coord_base + j)
+            link(cell, lay.vertex(j, code))
     return ColoredGraph(tuple(colors), tuple(tuple(sorted(s)) for s in adj))
 
 
@@ -232,7 +258,14 @@ class _Canonicalizer:
             cend[target + 1] = end
             for u in rest:
                 ccell[u] = target + 1
-            _refine(self.adj, clab, ccell, cend, deque([[v], rest]))
+            # [v] alone refines as [v] then rest would: this node's
+            # partition is equitable, so each vertex u of a cell counts
+            # some k neighbors in the old cell {v} + rest, the same k for
+            # the whole cell.  The [v] pass leaves every cell with one
+            # value of [u ~ v], so its count k - [u ~ v] into rest is
+            # constant per cell: rest, next in the old queue, would split
+            # nothing and queue nothing.
+            _refine(self.adj, clab, ccell, cend, deque([[v]]))
             self._search(clab, ccell, cend, prefix + (v,))
             processed.add(v)
 
@@ -356,8 +389,8 @@ def _graph_aut_order(gens):
 class _CanonResult:
     """A cached canonical form: the key bytes and the search's generators.
 
-    The generators, one row per permutation, give way to the automorphism
-    order on the first automorphism_order call.
+    The generators, one row per permutation, feed class_orbit_leaders and
+    give way to the automorphism order on the first automorphism_order call.
     """
 
     key: bytes
@@ -407,3 +440,48 @@ def automorphism_order(p):
             if not any(cube[j] in (ZERO, ONE) for cube in p.cubes):
                 order //= 2
     return order
+
+
+def class_orbit_leaders(p, classes):
+    """For each extension class of p, the index of the first class in its
+    orbit under the automorphism generators cached with p's canonical key.
+
+    A generator g moves coordinate j to g[m+j]-m and a candidate through
+    its vertex: a torus literal through its literal vertex, a cube-space
+    ZERO or ONE through its boundary vertex; FRESH stays FRESH.  Each g is
+    a true automorphism of p, so classes sharing a leader give equivalent
+    children even where the generators span only a subgroup (the orbits are
+    then finer, never wrong).  classes must be closed under the action, as
+    every nb-filtered list of enumerate_extension_classes is.  Once
+    automorphism_order has dropped p's generators, every class leads its
+    own orbit.
+    """
+    gens = _canon_result(p).gens
+    leader = list(range(len(classes)))
+    if gens is None:
+        return leader
+    m = p.m
+    lay = _Layout(p)
+    index = {c.coords: i for i, c in enumerate(classes)}
+
+    def find(i):
+        while leader[i] != i:
+            leader[i] = leader[leader[i]]
+            i = leader[i]
+        return i
+
+    for g in gens.tolist():
+        for i, c in enumerate(classes):
+            image = [None] * p.dim
+            for j, cand in enumerate(c.coords):
+                image[g[m + j] - m] = (
+                    cand if cand == FRESH else lay.code(g[lay.vertex(j, cand)]))
+            k = index.get(tuple(image))
+            if k is None:
+                raise AssertionError(
+                    f"class {c.coords} maps to {tuple(image)}, not a class "
+                    f"of the list")
+            a, b = find(i), find(k)
+            if a != b:
+                leader[max(a, b)] = min(a, b)
+    return [find(i) for i in range(len(classes))]

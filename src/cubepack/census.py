@@ -17,7 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .canon import CanonicalKey, automorphism_order, canonical_key
+from .canon import (
+    CanonicalKey,
+    automorphism_order,
+    canonical_key,
+    class_orbit_leaders,
+)
 from .extend import (
     enumerate_extension_classes,
     class_representative,
@@ -137,6 +142,24 @@ def _census_key(p):
     return canonical_key(p).bytes
 
 
+def _class_children(rep, classes):
+    """The child add_cube(rep, class_representative(rep, c)) of each class,
+    built once per orbit of rep's automorphism generators.
+
+    A class that does not lead its orbit (canon.class_orbit_leaders) gets
+    its leader's child object: the two children are equivalent, and the
+    sweep's merge key of the shared object is a cache hit, not a new
+    canonical form.  The leader comes first in classes, so the
+    representative a sweep stores for a key is unchanged.
+    """
+    leaders = class_orbit_leaders(rep, classes)
+    out = []
+    for i, c in enumerate(classes):
+        out.append(add_cube(rep, class_representative(rep, c))
+                   if leaders[i] == i else out[leaders[i]])
+    return out
+
+
 def _terminal_record(rep, prob, paths=None):
     return CensusRecord(key=canonical_key(rep), rep=rep, prob=prob,
                         aut=automorphism_order(rep), paths=paths)
@@ -190,9 +213,9 @@ def torus_limit_census(
         best = max(c.nb for c in classes)
         share = Fraction(1, sum(c.nb == best for c in classes))
         out = []
-        for c in classes:
+        for c, child in zip(classes, _class_children(rep, classes)):
             q = share if c.nb == best else Fraction(0)
-            out.append((add_cube(rep, class_representative(rep, c)),
+            out.append((child,
                         weight.step(c.nb, q) if track_paths else weight * q))
         return out
 
@@ -406,9 +429,11 @@ def cube_expansion(n, order, allow_large=False, return_records=False):
         Series of length order + 1, or (Series, records).
 
     Raises:
-        ValueError: if order is negative.
+        ValueError: if n or order is negative.
         ResourceGuardError: if order > 4 without allow_large.
     """
+    if n < 0:
+        raise ValueError(f"dimension must be >= 0, got {n}")
     if order < 0:
         raise ValueError(f"expansion order must be >= 0, got {order}")
     if order > 4 and not allow_large:
@@ -425,8 +450,8 @@ def cube_expansion(n, order, allow_large=False, return_records=False):
         for c in kept:
             den[dmax - c.nb] += 1
         step = prob * Series(den, order).inverse()
-        return [(add_cube(rep, class_representative(rep, c)),
-                 step.shift(dmax - c.nb)) for c in kept]
+        return [(child, step.shift(dmax - c.nb))
+                for c, child in zip(kept, _class_children(rep, kept))]
 
     zero = Series((0,) * (order + 1), order)
     one = Series((1,) + (0,) * order, order)

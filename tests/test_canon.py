@@ -24,6 +24,7 @@ from cubepack.canon import (
     _PermGroup,
     automorphism_order,
     canonical_key,
+    class_orbit_leaders,
     encode,
 )
 from cubepack.census import cube_expansion, torus_limit_census
@@ -36,6 +37,7 @@ from cubepack.constructions import (
     one_factorization,
     rod_tiling,
 )
+from cubepack.extend import FRESH, enumerate_extension_classes
 from cubepack.model import (
     CUBE,
     ONE,
@@ -217,6 +219,41 @@ def test_automorphism_order_reuses_the_cached_search(monkeypatch):
     canonical_key(p)
     automorphism_order(p)
     assert len(runs) == 1
+
+
+def test_class_orbit_leaders_follow_the_cached_generators():
+    canon._canon_result.cache_clear()
+    # the empty square: classes of one fresh count form one orbit under
+    # the coordinate swap and the two reflections
+    square = empty_packing(CUBE, 2)
+    classes = enumerate_extension_classes(square)
+    assert [c.coords for c in classes[:3]] == [(ZERO, ZERO), (ZERO, ONE),
+                                               (ZERO, FRESH)]
+    assert class_orbit_leaders(square, classes) == [0, 0, 2, 0, 0, 2, 2, 2, 8]
+    # one torus cube (t0, t1): the swap of coordinates and parameters pairs
+    # (t0, t1+1) with (t0+1, t1) and (t0+1, *) with (*, t1+1)
+    cube = make_packing(TORUS, 2, [(T(0), T(1))])
+    classes = enumerate_extension_classes(cube)
+    assert [c.coords for c in classes] == [
+        (T(0), T(1, 1)), (T(0, 1), T(1)), (T(0, 1), T(1, 1)),
+        (T(0, 1), FRESH), (FRESH, T(1, 1))]
+    assert class_orbit_leaders(cube, classes) == [0, 0, 2, 3, 3]
+
+
+def test_class_orbit_leaders_without_generators_is_the_identity():
+    canon._canon_result.cache_clear()
+    square = empty_packing(CUBE, 2)
+    classes = enumerate_extension_classes(square)
+    automorphism_order(square)
+    assert canon._canon_result(square).gens is None
+    assert class_orbit_leaders(square, classes) == list(range(9))
+
+
+def test_class_orbit_leaders_need_a_closed_class_list():
+    canon._canon_result.cache_clear()
+    square = empty_packing(CUBE, 2)
+    with pytest.raises(AssertionError):
+        class_orbit_leaders(square, enumerate_extension_classes(square)[:1])
 
 
 def _search_generators(p):

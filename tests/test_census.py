@@ -6,14 +6,15 @@ from itertools import permutations
 
 import pytest
 from helpers import (
+    brute_equivalent,
     brute_extension_classes,
     brute_positive_orders,
     closed_form_expansion_polys,
     random_packing,
 )
 
-from cubepack import census, extend
-from cubepack.canon import canonical_key
+from cubepack import canon, census, extend
+from cubepack.canon import canonical_key, class_orbit_leaders
 from cubepack.census import (
     ResourceGuardError,
     cube_expansion,
@@ -32,7 +33,13 @@ from cubepack.constructions import (
     one_factorization,
     rod_tiling,
 )
-from cubepack.model import CUBE, TORUS, coordinate_params, make_packing
+from cubepack.model import (
+    CUBE,
+    TORUS,
+    add_cube,
+    coordinate_params,
+    make_packing,
+)
 from cubepack.ratfun import format_polynomial
 
 
@@ -365,6 +372,61 @@ def test_cube_expansion_rejects_negative_order():
         cube_expansion(2, -1)
     with pytest.raises(ValueError):
         interpolate_Ck(-1, [1, 2, 3])
+
+
+def test_cube_expansion_rejects_negative_dimension():
+    with pytest.raises(ValueError):
+        cube_expansion(-1, 1)
+    with pytest.raises(ValueError):
+        interpolate_Ck(1, [-2, -1, 0])
+
+
+def _swept_parents(monkeypatch, run):
+    """The (state, classes) pairs whose children run's sweep builds."""
+    seen = []
+    build = census._class_children
+
+    def spy(rep, classes):
+        seen.append((rep, classes))
+        return build(rep, classes)
+
+    monkeypatch.setattr(census, "_class_children", spy)
+    canon._canon_result.cache_clear()
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def test_classes_of_one_orbit_give_equivalent_children(monkeypatch):
+    parents = []
+    for n in range(1, 5):
+        parents += _swept_parents(monkeypatch, lambda: cube_expansion(n, 4))
+    parents += _swept_parents(
+        monkeypatch, lambda: torus_limit_census(3, include_zero_prob=True))
+    shared = brute = 0
+    for rep, classes in parents:
+        kids = [add_cube(rep, extend.class_representative(rep, c))
+                for c in classes]
+        for i, lead in enumerate(class_orbit_leaders(rep, classes)):
+            assert lead <= i and classes[lead].nb == classes[i].nb
+            if lead == i:
+                continue
+            shared += 1
+            assert canonical_key(kids[i]) == canonical_key(kids[lead])
+            if rep.m <= 6 and rep.dim <= 3:
+                brute += 1
+                assert brute_equivalent(kids[i], kids[lead])
+    # 657 children share their leader's, 459 of them checked by brute force
+    assert shared >= 600 and brute >= 400
+
+
+def test_cube_expansion_canonical_form_count_is_pinned():
+    # one canonical form per orbit of each state's extension classes: the
+    # parent's one form per child computed 1,921 here
+    canon._canon_result.cache_clear()
+    for n in range(1, 7):
+        cube_expansion(n, 4)
+    assert canon._canon_result.cache_info().misses == 364
 
 
 # sha256 of the terminal records of cube_expansion(n, 4) for n = 0..5, each

@@ -344,6 +344,7 @@ _JSON = st.recursive(
         *[(["enumerate", "--space", "torus", "--dim", "2",
             "--checkpoint", _checkpoint(**fields)], 1)
           for fields in _MALFORMED_CHECKPOINTS],
+        (["expand", "--order", "1", "--dims=-2,-1,0"], 1),
     ],
 )
 def test_exit_codes(argv, expected, capsys, tmp_path):
