@@ -24,6 +24,8 @@ from .canon import (
     class_orbit_leaders,
 )
 from .extend import (
+    FRESH,
+    ExtensionClass,
     enumerate_extension_classes,
     class_representative,
     max_nb,
@@ -38,6 +40,8 @@ from .model import (
     empty_packing,
     from_json_obj,
     is_literal,
+    literal,
+    make_packing,
     param_of,
     to_json_obj,
     validate,
@@ -142,17 +146,17 @@ def _census_key(p):
     return canonical_key(p).bytes
 
 
-def _class_children(rep, classes):
+def _class_children(rep, classes, leaders):
     """The child add_cube(rep, class_representative(rep, c)) of each class,
-    built once per orbit of rep's automorphism generators.
+    built once per orbit of classes under rep's automorphisms.
 
-    A class that does not lead its orbit (canon.class_orbit_leaders) gets
-    its leader's child object: the two children are equivalent, and the
-    sweep's merge key of the shared object is a cache hit, not a new
-    canonical form.  The leader comes first in classes, so the
-    representative a sweep stores for a key is unchanged.
+    leaders[i] is the index of the first class in the orbit of class i.  A
+    class that does not lead its orbit gets its leader's child object: the
+    two children are equivalent, and the sweep's merge key of the shared
+    object is a cache hit, not a new canonical form.  The leader comes
+    first in classes, so the representative a sweep stores for a key is
+    unchanged.
     """
-    leaders = class_orbit_leaders(rep, classes)
     out = []
     for i, c in enumerate(classes):
         out.append(add_cube(rep, class_representative(rep, c))
@@ -213,7 +217,8 @@ def torus_limit_census(
         best = max(c.nb for c in classes)
         share = Fraction(1, sum(c.nb == best for c in classes))
         out = []
-        for c, child in zip(classes, _class_children(rep, classes)):
+        kids = _class_children(rep, classes, class_orbit_leaders(rep, classes))
+        for c, child in zip(classes, kids):
             q = share if c.nb == best else Fraction(0)
             out.append((child,
                         weight.step(c.nb, q) if track_paths else weight * q))
@@ -405,6 +410,42 @@ def positive_path_exists(p, allow_large=False):
     return full in sweep(start, lambda state: state[0], children)
 
 
+def _touched_part(p):
+    """A cube-space sweep state on its touched coordinates, and those.
+
+    A coordinate is touched when some cube holds ZERO or ONE there.  The
+    part keeps the cubes in order, each interior parameter renumbered by
+    its first occurrence, so equal parts are one cache entry.
+    """
+    cols = [j for j in range(p.dim) if any(cube[j] < 0 for cube in p.cubes)]
+    params = {}
+    return make_packing(CUBE, len(cols), [
+        tuple(cube[j] if cube[j] < 0
+              else literal(params.setdefault(cube[j], len(params)))
+              for j in cols)
+        for cube in p.cubes
+    ]), cols
+
+
+def _expansion_key(p):
+    return canonical_key(_touched_part(p)[0]).bytes
+
+
+def _expansion_leaders(rep, classes):
+    """For each class of a cube-space sweep state, the index of the first
+    class in its orbit (see cube_expansion): classes share an orbit when
+    their touched patterns share a canon.class_orbit_leaders leader on the
+    touched part and their nb agree."""
+    part, cols = _touched_part(rep)
+    touched = [tuple(c.coords[j] for j in cols) for c in classes]
+    patterns = {t: ExtensionClass(t, t.count(FRESH)) for t in touched}
+    lead = dict(zip(patterns,
+                    class_orbit_leaders(part, list(patterns.values()))))
+    first = {}
+    return [first.setdefault((lead[t], c.nb), i)
+            for i, (t, c) in enumerate(zip(touched, classes))]
+
+
 def cube_expansion(n, order, allow_large=False, return_records=False):
     """Expansion of E(M(n)) for cube space in powers of x = 1/(N-1).
 
@@ -418,10 +459,27 @@ def cube_expansion(n, order, allow_large=False, return_records=False):
     kept probabilities sum to one through x^order, which the census mass
     check certifies.
 
+    States merge by the canonical key of their touched part
+    (_touched_part), a complete invariant for a fixed n.  In cube space
+    only the ZERO/ONE pair blocks, and a class never reuses a parameter:
+    FRESH gives the new cube a parameter of its own.  So on a coordinate
+    without ZERO or ONE every cube holds a private interior parameter.
+    Such an untouched coordinate blocks nothing, and permuting the
+    untouched coordinates or reflecting one of them is a symmetry.  FRESH
+    keeps a coordinate untouched; ZERO or ONE touches it.  Relabelings map
+    touched coordinates to touched ones, so two states are equivalent iff
+    their touched parts are, each then with u = n - dim untouched
+    coordinates.  Likewise a state's automorphisms are its touched part's
+    times the permutations and reflections of the untouched coordinates,
+    so the orbit of a class is the orbit of its touched pattern times its
+    FRESH count on the untouched ones (_expansion_leaders): the sweep
+    builds one child per such orbit.  Terminal records carry the full
+    packing's key and automorphism order.
+
     Args:
         n: dimension.
         order: highest power of 1/(N-1) wanted.
-        allow_large: lift the default order <= 4 guard.
+        allow_large: lift the default order <= 4 and n <= 10 guards.
         return_records: also return the terminal CensusRecord list with
             Series probabilities.
 
@@ -430,7 +488,7 @@ def cube_expansion(n, order, allow_large=False, return_records=False):
 
     Raises:
         ValueError: if n or order is negative.
-        ResourceGuardError: if order > 4 without allow_large.
+        ResourceGuardError: if order > 4 or n > 10 without allow_large.
     """
     if n < 0:
         raise ValueError(f"dimension must be >= 0, got {n}")
@@ -438,6 +496,12 @@ def cube_expansion(n, order, allow_large=False, return_records=False):
         raise ValueError(f"expansion order must be >= 0, got {order}")
     if order > 4 and not allow_large:
         raise ResourceGuardError(f"expansion order {order} needs the long flag")
+    # the first step lists all 3^n classes of the empty packing; at order 4,
+    # n = 10 takes 1.6 s and each dimension more about 2.5 times as long
+    # (2-core VM)
+    if n > 10 and not allow_large:
+        raise ResourceGuardError(f"expansion in dimension {n} exceeds the "
+                                 f"default limit 10")
 
     def children(rep, prob):
         classes = enumerate_extension_classes(rep)
@@ -450,14 +514,15 @@ def cube_expansion(n, order, allow_large=False, return_records=False):
         for c in kept:
             den[dmax - c.nb] += 1
         step = prob * Series(den, order).inverse()
+        kids = _class_children(rep, kept, _expansion_leaders(rep, kept))
         return [(child, step.shift(dmax - c.nb))
-                for c, child in zip(kept, _class_children(rep, kept))]
+                for c, child in zip(kept, kids)]
 
     zero = Series((0,) * (order + 1), order)
     one = Series((1,) + (0,) * order, order)
     p0 = empty_packing(CUBE, n)
-    start = (0, {_census_key(p0): [p0, one]}, {})
-    records = sweep(start, _census_key, children)
+    start = (0, {_expansion_key(p0): [p0, one]}, {})
+    records = sweep(start, _expansion_key, children)
     total = sum((prob for _, prob in records.values()), zero)
     if total != one:
         raise AssertionError("expansion mass is not 1")
@@ -490,7 +555,8 @@ def interpolate_Ck(order, dims, expansions=None, allow_large=False):
     if expansions is None:
         expansions = {}
     series = {}
-    for n in dims:
+    # largest first, so that a dimension guard refuses before any run
+    for n in reversed(dims):
         got = expansions.get(n)
         if got is None:
             got = cube_expansion(n, order, allow_large=allow_large)

@@ -86,7 +86,8 @@ def _build_parser():
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--dims", required=True, metavar="A..B",
                    help="dimension range to fit across, e.g. 1..4")
-    p.add_argument("--long-running", action="store_true")
+    p.add_argument("--long-running", action="store_true",
+                   help="lift resource guards")
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo runs")

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from helpers import (
@@ -14,7 +14,7 @@ from helpers import (
 )
 
 from cubepack import canon, census, extend
-from cubepack.canon import canonical_key, class_orbit_leaders
+from cubepack.canon import canonical_key
 from cubepack.census import (
     ResourceGuardError,
     cube_expansion,
@@ -367,6 +367,19 @@ def test_cube_expansion_truncations_are_prefixes():
             assert cube_expansion(n, k).coeffs == full[: k + 1]
 
 
+def test_cube_expansion_dimension_guard(monkeypatch):
+    with pytest.raises(ResourceGuardError):
+        cube_expansion(11, 0)
+    # the fit runs its largest dimension first, so it refuses before any run
+    calls = {"enumerate_extension_classes": 0}
+    monkeypatch.setattr(census, "enumerate_extension_classes", _counting(
+        calls, "enumerate_extension_classes",
+        census.enumerate_extension_classes))
+    with pytest.raises(ResourceGuardError):
+        interpolate_Ck(1, [1, 2, 30])
+    assert calls["enumerate_extension_classes"] == 0
+
+
 def test_cube_expansion_rejects_negative_order():
     with pytest.raises(ValueError):
         cube_expansion(2, -1)
@@ -382,13 +395,15 @@ def test_cube_expansion_rejects_negative_dimension():
 
 
 def _swept_parents(monkeypatch, run):
-    """The (state, classes) pairs whose children run's sweep builds."""
+    """The (state, classes, leaders, children) of every step of run's
+    sweep."""
     seen = []
     build = census._class_children
 
-    def spy(rep, classes):
-        seen.append((rep, classes))
-        return build(rep, classes)
+    def spy(rep, classes, leaders):
+        kids = build(rep, classes, leaders)
+        seen.append((rep, classes, leaders, kids))
+        return kids
 
     monkeypatch.setattr(census, "_class_children", spy)
     canon._canon_result.cache_clear()
@@ -404,10 +419,10 @@ def test_classes_of_one_orbit_give_equivalent_children(monkeypatch):
     parents += _swept_parents(
         monkeypatch, lambda: torus_limit_census(3, include_zero_prob=True))
     shared = brute = 0
-    for rep, classes in parents:
+    for rep, classes, leaders, _ in parents:
         kids = [add_cube(rep, extend.class_representative(rep, c))
                 for c in classes]
-        for i, lead in enumerate(class_orbit_leaders(rep, classes)):
+        for i, lead in enumerate(leaders):
             assert lead <= i and classes[lead].nb == classes[i].nb
             if lead == i:
                 continue
@@ -420,13 +435,47 @@ def test_classes_of_one_orbit_give_equivalent_children(monkeypatch):
     assert shared >= 600 and brute >= 400
 
 
-def test_cube_expansion_canonical_form_count_is_pinned():
-    # one canonical form per orbit of each state's extension classes: the
-    # parent's one form per child computed 1,921 here
-    canon._canon_result.cache_clear()
+def test_touched_part_key_is_complete_in_the_expansion(monkeypatch):
+    # within one dimension, two swept children share the key of their
+    # touched part exactly when they share the full canonical key
+    same = apart = 0
+    for n in range(1, 6):
+        steps = _swept_parents(monkeypatch, lambda: cube_expansion(n, 4))
+        reps, touched = {}, {}
+        for kid in dict.fromkeys(k for *_, kids in steps for k in kids):
+            t, full = census._expansion_key(kid), canonical_key(kid)
+            rep, rep_full = reps.setdefault(t, (kid, full))
+            assert rep_full == full and touched.setdefault(full, t) == t
+            if kid.m <= 6 and n <= 3 and kid != rep:
+                same += 1
+                assert brute_equivalent(kid, rep)
+        if n <= 3:
+            small = [rep for rep, _ in reps.values() if rep.m <= 6]
+            for a, b in combinations(small, 2):
+                apart += a.m == b.m
+                assert not brute_equivalent(a, b)
+    # 20 equivalent children and 127 inequivalent pairs by brute force
+    assert same >= 20 and apart >= 120
+
+
+def test_cube_expansion_canonical_form_count_is_pinned(monkeypatch):
+    # one canonical form per distinct touched part; a full key per child
+    # computed 1,921 here, a full key per orbit of each state's classes 364
+    seen = []
+    cached = canon._canon_result
+
+    def spy(p):
+        seen.append(p)
+        return cached(p)
+
+    monkeypatch.setattr(canon, "_canon_result", spy)
+    cached.cache_clear()
     for n in range(1, 7):
         cube_expansion(n, 4)
-    assert canon._canon_result.cache_info().misses == 364
+    assert cached.cache_info().misses == 98
+    # every coordinate of a canonicalized part holds a ZERO or ONE
+    assert all(any(cube[j] < 0 for cube in p.cubes)
+               for p in seen for j in range(p.dim))
 
 
 # sha256 of the terminal records of cube_expansion(n, 4) for n = 0..5, each

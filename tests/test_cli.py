@@ -41,11 +41,15 @@ def test_golden_enumerate_torus_dim3():
     [
         ("2", "1..4", "C_2 = 4n^2-8n\n"),
         ("4", "1..6", "C_4 = (2016n^4-21436n^3+58701n^2-40721n)/90\n"),
+        ("5", "1..7", "C_5 = (208724n^5-3516724n^4+18627854n^3-35643809n^2"
+                      "+20444915n)/3780\n"),
     ],
-    ids=["order2", "order4"],
+    ids=["order2", "order4", "order5"],
 )
 def test_golden_expand(order, dims, expected):
-    code, text = run(["expand", "--order", order, "--dims", dims])
+    # orders above 4 need the long flag
+    long = ["--long-running"] if int(order) > 4 else []
+    code, text = run(["expand", "--order", order, "--dims", dims, *long])
     assert code == 0
     assert text == (GOLDEN / f"expand_order{order}.txt").read_text()
     assert text == expected
@@ -114,6 +118,12 @@ def test_construct_long_running_lifts_rod_guard():
     assert run(["construct", "--rod", "13"]) == (2, "")
     code, text = run(["construct", "--rod", "13", "--long-running"])
     assert code == 0 and len(json.loads(text)["cubes"]) == 2 ** 13
+
+
+def test_expand_long_running_lifts_dimension_guard():
+    assert run(["expand", "--order", "0", "--dims", "10..11"]) == (2, "")
+    assert run(["expand", "--order", "0", "--dims", "10..11",
+                "--long-running"]) == (0, "C_0 = 1\n")
 
 
 def test_construct_factorization():
@@ -345,6 +355,7 @@ _JSON = st.recursive(
             "--checkpoint", _checkpoint(**fields)], 1)
           for fields in _MALFORMED_CHECKPOINTS],
         (["expand", "--order", "1", "--dims=-2,-1,0"], 1),
+        (["expand", "--order", "1", "--dims", "1..20"], 2),
     ],
 )
 def test_exit_codes(argv, expected, capsys, tmp_path):
