@@ -110,11 +110,13 @@ def sweep(start, key, children, on_level=None, _level_order=None):
     start is (level, frontier, records), frontier and records mapping a key
     to a [state, weight] entry.  children(state, weight) returns the
     (child, weight) pairs of one step, an empty list for a terminal state;
-    key(child) is the child's merge key.  Entries with equal keys merge by
-    adding weights with +, the first arrival stored as is.  A terminal
-    state moves to records under the key it arrived with.  After each level
-    on_level(level, frontier, records) runs, level counting the levels
-    done.  Returns records: every terminal state with its total weight.
+    key(child) is the child's merge key, computed once per distinct child
+    object of a step (_class_children gives every class of an orbit one
+    object).  Entries with equal keys merge by adding weights with +, the
+    first arrival stored as is.  A terminal state moves to records under
+    the key it arrived with.  After each level on_level(level, frontier,
+    records) runs, level counting the levels done.  Returns records: every
+    terminal state with its total weight.
     """
     level, frontier, records = start
     while frontier:
@@ -126,8 +128,12 @@ def sweep(start, key, children, on_level=None, _level_order=None):
             steps = children(state, weight)
             if not steps:
                 _merge(records, k, state, weight)
+            keys = {}
             for child, w in steps:
-                _merge(frontier, key(child), child, w)
+                i = id(child)
+                if i not in keys:
+                    keys[i] = key(child)
+                _merge(frontier, keys[i], child, w)
         level += 1
         if on_level is not None:
             on_level(level, frontier, records)
@@ -152,10 +158,9 @@ def _class_children(rep, classes, leaders):
 
     leaders[i] is the index of the first class in the orbit of class i.  A
     class that does not lead its orbit gets its leader's child object: the
-    two children are equivalent, and the sweep's merge key of the shared
-    object is a cache hit, not a new canonical form.  The leader comes
-    first in classes, so the representative a sweep stores for a key is
-    unchanged.
+    two children are equivalent, and the sweep keys the shared object once
+    per step.  The leader comes first in classes, so the representative a
+    sweep stores for a key is unchanged.
     """
     out = []
     for i, c in enumerate(classes):
@@ -497,8 +502,8 @@ def cube_expansion(n, order, allow_large=False, return_records=False):
     if order > 4 and not allow_large:
         raise ResourceGuardError(f"expansion order {order} needs the long flag")
     # the first step lists all 3^n classes of the empty packing; at order 4,
-    # n = 10 takes 1.6 s and each dimension more about 2.5 times as long
-    # (2-core VM)
+    # n = 10 takes 1.4 s and n = 11 4.4 s, each dimension more about 3 times
+    # as long (2-core VM)
     if n > 10 and not allow_large:
         raise ResourceGuardError(f"expansion in dimension {n} exceeds the "
                                  f"default limit 10")
@@ -542,18 +547,28 @@ def interpolate_Ck(order, dims, expansions=None, allow_large=False):
         dims: dimensions to run (or look up) expansions for; needs at least
             order + 2 distinct values so every fit is checked on a spare
             point.
-        expansions: optional {n: Series} to reuse precomputed runs.
+        expansions: optional {n: Series} to reuse precomputed runs; a
+            series of a higher order is truncated, which is exact.
         allow_large: lift cube_expansion's order guard.
 
     Returns:
         List of order + 1 Polynomials in the dimension; coefficient k is
         fitted with degree k and verified on the remaining dimensions.
+
+    Raises:
+        ValueError: if fewer than order + 2 dimensions are given, or a
+            precomputed series has an order below order.
     """
     dims = sorted(set(dims))
     if len(dims) < order + 2:
         raise ValueError("need at least order + 2 distinct dimensions")
     if expansions is None:
         expansions = {}
+    for n in dims:
+        got = expansions.get(n)
+        if got is not None and got.order < order:
+            raise ValueError(f"the expansion given for dimension {n} has "
+                             f"order {got.order}, below order {order}")
     series = {}
     # largest first, so that a dimension guard refuses before any run
     for n in reversed(dims):

@@ -5,12 +5,14 @@ on the coefficient-tuple helpers _zadd, _zmul and _horner.  A Series is a
 power series in x = 1/(N-1), the expansion parameter of the
 expected-cube-count asymptotics, truncated after x^K: the cube-space sweep
 carries every probability as one, and its sums and products are exact
-through order K.
+through order K.  A Series holds integer numerators over one common
+denominator in lowest terms, so the sweep's arithmetic runs on ints, and
+Fractions are built only when its coeffs are read.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class NonPolynomialDataError(ValueError):
@@ -84,22 +86,59 @@ def _horner(coeffs, x):
     return acc
 
 
-@dataclass(frozen=True)
 class Series:
     """Truncated power series a_0 + a_1 x + ... + a_K x^K with x = 1/(N-1).
 
     order is K.  Sums and products drop every term beyond x^K, so they are
-    exact through order K; a number multiplies coefficient-wise.
+    exact through order K; an int or a Fraction multiplies coefficient-wise.
+
+    The coefficients are stored as integer numerators num over one positive
+    common denominator den, in lowest terms: den and the numerators have no
+    common factor, and the zero series has den 1.  That form is unique, so
+    equality and hashing compare (num, den, order) tuples and still compare
+    values.  Each operation runs on integers and ends with one gcd.  coeffs
+    builds the Fraction coefficients on demand.
     """
 
-    coeffs: tuple
-    order: int
+    __slots__ = ("num", "den", "order")
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.order + 1:
+    def __init__(self, coeffs, order):
+        coeffs = tuple(coeffs)
+        if len(coeffs) != order + 1:
             raise ValueError("series needs exactly order+1 coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
+        if all(isinstance(c, int) for c in coeffs):
+            num, den = coeffs, 1
+        else:
+            fracs = [Fraction(c) for c in coeffs]
+            den = lcm(*(f.denominator for f in fracs))
+            num = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        self.num, self.den, self.order = num, den, order
+
+    @classmethod
+    def _reduced(cls, num, den, order):
+        """The series num/den; den is nonzero, num has order+1 entries."""
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        out = object.__new__(cls)
+        out.num = num if g == 1 else tuple(a // g for a in num)
+        out.den, out.order = den // g, order
+        return out
+
+    @property
+    def coeffs(self):
+        return tuple(Fraction(a, self.den) for a in self.num)
+
+    def __eq__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        return (self.num, self.den, self.order) == (other.num, other.den, other.order)
+
+    def __hash__(self):
+        return hash((self.num, self.den, self.order))
+
+    def __repr__(self):
+        return f"Series({self.coeffs!r}, {self.order})"
 
     def _same_order(self, other):
         if other.order != self.order:
@@ -107,43 +146,63 @@ class Series:
 
     def __add__(self, other):
         self._same_order(other)
-        return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.order)
+        d, e = self.den, other.den
+        if d == e:
+            num = tuple(a + b for a, b in zip(self.num, other.num))
+        else:
+            num = tuple(a * e + b * d for a, b in zip(self.num, other.num))
+            d *= e
+        return Series._reduced(num, d, self.order)
 
     def __mul__(self, other):
-        if not isinstance(other, Series):
-            return Series(tuple(c * other for c in self.coeffs), self.order)
-        self._same_order(other)
-        return Series(_zmul(self.coeffs, other.coeffs, self.order + 1), self.order)
+        if isinstance(other, Series):
+            self._same_order(other)
+            return Series._reduced(_zmul(self.num, other.num, self.order + 1),
+                                   self.den * other.den, self.order)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        c = other.numerator
+        return Series._reduced(tuple(a * c for a in self.num),
+                               self.den * other.denominator, self.order)
 
     @property
     def valuation(self):
         """The power of the first nonzero term: the order to which the
         function it expands vanishes as N grows."""
-        for k, c in enumerate(self.coeffs):
-            if c:
+        for k, a in enumerate(self.num):
+            if a:
                 return k
         raise ValueError("the zero series has no valuation")
 
     def shift(self, k):
         """x^k times the series, for k >= 0."""
-        return Series(((0,) * k + self.coeffs)[: self.order + 1], self.order)
+        if not k:
+            return self
+        return Series._reduced(((0,) * k + self.num)[: self.order + 1],
+                               self.den, self.order)
 
     def inverse(self):
-        """1/series through order K, by one long division.
+        """1/series through order K, on integers.
+
+        With the series A/D, C_0 = 1 and C_k = -sum_{i=1..k} A_i A_0^(i-1)
+        C_(k-i) give 1/A = sum_k C_k x^k / A_0^(k+1), so the inverse has
+        numerators D C_k A_0^(K-k) over A_0^(K+1).
 
         Raises:
             ZeroDivisionError: if the constant term is zero.
         """
-        a = self.coeffs
+        a, order = self.num, self.order
         if not a[0]:
             raise ZeroDivisionError("a series without constant term has no inverse")
-        inv = []
-        for k in range(self.order + 1):
-            acc = Fraction(k == 0)
-            for i in range(1, k + 1):
-                acc -= a[i] * inv[k - i]
-            inv.append(acc / a[0])
-        return Series(tuple(inv), self.order)
+        powers = [1]
+        for _ in range(order + 1):
+            powers.append(powers[-1] * a[0])
+        c = [1]
+        for k in range(1, order + 1):
+            c.append(-sum(a[i] * powers[i - 1] * c[k - i] for i in range(1, k + 1)))
+        return Series._reduced(
+            tuple(self.den * ck * powers[order - k] for k, ck in enumerate(c)),
+            powers[order + 1], order)
 
 
 def interpolate(points, degree):

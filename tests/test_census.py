@@ -478,6 +478,24 @@ def test_cube_expansion_canonical_form_count_is_pinned(monkeypatch):
                for p in seen for j in range(p.dim))
 
 
+def test_cube_expansion_key_count_is_pinned(monkeypatch):
+    # the sweep keys each distinct child object of a step once: 364 keys
+    # here, where keying every class's child took 1,921
+    calls = {"_expansion_key": 0}
+    monkeypatch.setattr(census, "_expansion_key", _counting(
+        calls, "_expansion_key", census._expansion_key))
+    for n in range(1, 7):
+        cube_expansion(n, 4)
+    assert calls["_expansion_key"] == 364
+
+
+def test_cube_expansion_c5_at_dimension_8():
+    # the C_5 polynomial of the order-5 golden, fitted through n = 1..7,
+    # gives -345754/9 at n = 8, a dimension the fit did not use
+    series = cube_expansion(8, 5, allow_large=True)
+    assert series.coeffs[5] == Fraction(-345754, 9)
+
+
 # sha256 of the terminal records of cube_expansion(n, 4) for n = 0..5, each
 # prob as its Series coefficients.  The key, m, nparams and aut columns are
 # those of the earlier pin, made with exact rational-function probabilities,
@@ -507,6 +525,25 @@ def test_interpolate_Ck_low_orders():
     assert format_polynomial(polys[0]) == "1"
     assert format_polynomial(polys[1]) == "2n"
     assert format_polynomial(polys[2]) == "4n^2-8n"
+
+
+def test_interpolate_Ck_checks_the_order_of_given_series(monkeypatch):
+    low = {n: cube_expansion(n, 2) for n in range(1, 7)}
+    with pytest.raises(ValueError, match="dimension 1 has order 2, below order 4"):
+        interpolate_Ck(4, range(1, 7), expansions=low)
+    # checked before any run, though dimension 7 would run first
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("an expansion ran before the order check")
+
+    monkeypatch.setattr(census, "cube_expansion", no_run)
+    with pytest.raises(ValueError, match="dimension 3 has order 2"):
+        interpolate_Ck(4, range(1, 8), expansions={3: low[3]})
+    monkeypatch.undo()
+    # a higher-order series truncates exactly
+    high = {n: cube_expansion(n, 4) for n in range(1, 5)}
+    assert (interpolate_Ck(2, range(1, 5), expansions=high)
+            == interpolate_Ck(2, range(1, 5)))
 
 
 def test_interpolate_Ck_needs_spare_points():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,78 @@ def test_equal_values_give_equal_objects(coeffs, pad):
     assert f == g and hash(f) == hash(g)
     p, q = Polynomial(coeffs + [0] * pad), Polynomial(exact)
     assert p == q and hash(p) == hash(q)
+
+
+# A plain Fraction-tuple reference for the integer-numerator Series.
+
+def _ref_mul(a, b):
+    return tuple(sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+                 for k in range(len(a)))
+
+
+def _ref_inverse(a):
+    inv = []
+    for k in range(len(a)):
+        acc = Fraction(k == 0) - sum((a[i] * inv[k - i] for i in range(1, k + 1)), Fraction(0))
+        inv.append(acc / a[0])
+    return tuple(inv)
+
+
+def _lowest_terms(f):
+    return f.den > 0 and gcd(f.den, *f.num) == 1
+
+
+_fracs = st.fractions(-20, 20, max_denominator=12)
+_pairs = st.integers(0, 5).flatmap(lambda K: st.tuples(
+    st.lists(_fracs, min_size=K + 1, max_size=K + 1),
+    st.lists(_fracs, min_size=K + 1, max_size=K + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs, st.integers(-7, 7), _fracs, st.integers(0, 6))
+def test_integer_series_matches_the_fraction_reference(pair, n, c, k):
+    a, b = (tuple(Fraction(x) for x in coeffs) for coeffs in pair)
+    K = len(a) - 1
+    f, g = Series(a, K), Series(b, K)
+    assert f.coeffs == a
+    results = [
+        (f + g, tuple(x + y for x, y in zip(a, b))),
+        (f * g, _ref_mul(a, b)),
+        (f * n, tuple(x * n for x in a)),
+        (f * c, tuple(x * c for x in a)),
+        (f.shift(k), ((Fraction(0),) * k + a)[:K + 1]),
+    ]
+    if a[0]:
+        results.append((f.inverse(), _ref_inverse(a)))
+    for got, want in results:
+        assert got.coeffs == want and got.order == K and _lowest_terms(got)
+    if any(a):
+        assert f.valuation == next(i for i, x in enumerate(a) if x)
+    else:
+        with pytest.raises(ValueError):
+            f.valuation
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_fracs, min_size=1, max_size=5), st.integers(1, 12))
+def test_equal_series_from_different_scalings_are_equal(coeffs, m):
+    # the numerators m a over m den reduce to those of a: 2/4 is 1/2
+    f = Series(coeffs, len(coeffs) - 1)
+    scaled = Series([m * x for x in coeffs], f.order) * Fraction(1, m)
+    halves = Series([x / 2 for x in coeffs], f.order)
+    for g in (scaled, halves + halves, f * 1):
+        assert g == f and hash(g) == hash(f)
+        assert (g.num, g.den) == (f.num, f.den)
+    assert Series((Fraction(2, 4),), 0) == Series((Fraction(1, 2),), 0)
+    assert Series((1, 0), 1) * Fraction(1, 2) + Series((1, 0), 1) * Fraction(1, 4) \
+        == Series((Fraction(3, 4), 0), 1)
+
+
+def test_inverse_of_a_negative_constant_term():
+    # 1/(-2 + x) = -1/2 - x/4 - x^2/8: the denominator sign is normalized
+    inv = Series((-2, 1, 0), 2).inverse()
+    assert inv.coeffs == (Fraction(-1, 2), Fraction(-1, 4), Fraction(-1, 8))
+    assert inv.den == 8 and inv.num == (-4, -2, -1)
 
 
 def test_division_by_zero_function_raises():
