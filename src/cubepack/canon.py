@@ -48,8 +48,9 @@ COLOR_BOUNDARY = 5
 
 # Largest dimension the canonical form accepts: the search recurses once per
 # individualized vertex, so far larger packings would exhaust the stack.  On
-# the empty torus packing `cubepack canon` takes about 1.2 s at 24
-# dimensions, 2.5 s at 28 and 7 s at 32 (2-core VM).
+# the empty torus packing `cubepack canon` takes about 0.4 s at 24
+# dimensions, 0.5 s at 28 and 0.75 s at 32, interpreter start included
+# (2-core VM).
 CANON_MAX_DIM = 24
 
 
@@ -155,32 +156,81 @@ def encode(p):
     return ColoredGraph(tuple(colors), tuple(tuple(sorted(s)) for s in adj))
 
 
-def _refine(adj, lab, cell_of, cell_end, work):
+def _refine(adj, lab, cell_of, cell_end, work, cells):
     """Equitable refinement; splits order parts by neighbor count ascending.
 
     The partition is the vertex list lab with cells indexed by start
-    position: v lies in the cell lab[cell_of[v]:cell_end[cell_of[v]]].  A
-    split rewrites only the cell it splits, and every part is queued as a
-    splitter, in partition order.
+    position: v lies in the cell lab[cell_of[v]:cell_end[cell_of[v]]].
+    Each splitter counts, per vertex, its neighbors in the splitter, and
+    every cell holding a counted vertex is split by count, in ascending
+    order of start.  A split rewrites only the cell it splits; its parts
+    go in ascending count, each in label order, and every part is queued
+    as a splitter.  cells is the partition's number of cells; the number
+    after refinement is returned.
+
+    The counts live in one list indexed by vertex, grouped by cell as they
+    are made, and only the touched entries are reset after each splitter.
+    Four shortcuts skip work whose outcome is known, so the splits are
+    exactly those of the plain rule, in its order:
+      - a singleton cell cannot split, so its vertices are not counted;
+      - a cell whose every vertex is touched, all with one count, is a
+        single part: it is skipped without reading lab;
+      - a singleton splitter {w} counts 1 on each neighbor of w and 0
+        elsewhere, the graph being simple (no loops, no repeated
+        neighbors).  So a fully touched cell stays whole, and any other
+        touched cell splits into its untouched vertices, then its touched
+        ones, each in label order;
+      - once every cell is a singleton nothing can split, so the splitters
+        still queued are dropped.
     """
-    while work:
+    nv = len(lab)
+    cnt = [0] * nv
+    while work and cells < nv:
         splitter = work.popleft()
-        cnt = {}
+        single = len(splitter) == 1
+        by_cell = {}
         for w in splitter:
             for u in adj[w]:
-                cnt[u] = cnt.get(u, 0) + 1
-        for start in sorted({cell_of[u] for u in cnt}):
+                start = cell_of[u]
+                if cell_end[start] - start > 1:
+                    c = cnt[u]
+                    if not c:
+                        members = by_cell.get(start)
+                        if members is None:
+                            by_cell[start] = [u]
+                        else:
+                            members.append(u)
+                    cnt[u] = c + 1
+        if not by_cell:
+            continue
+        for start in sorted(by_cell) if len(by_cell) > 1 else by_cell:
+            members = by_cell[start]
             end = cell_end[start]
-            if end - start == 1:
-                continue
-            groups = {}
-            for u in lab[start:end]:
-                groups.setdefault(cnt.get(u, 0), []).append(u)
-            if len(groups) == 1:
-                continue
+            if len(members) == end - start:
+                if single:
+                    continue
+                c = cnt[members[0]]
+                for u in members:
+                    if cnt[u] != c:
+                        break
+                else:
+                    continue
+            cell = lab[start:end]
+            if single:
+                parts = ([u for u in cell if not cnt[u]],
+                         [u for u in cell if cnt[u]])
+            else:
+                groups = {}
+                for u in cell:
+                    c = cnt[u]
+                    part = groups.get(c)
+                    if part is None:
+                        groups[c] = [u]
+                    else:
+                        part.append(u)
+                parts = [groups[c] for c in sorted(groups)]
             s = start
-            for c in sorted(groups):
-                part = groups[c]
+            for part in parts:
                 e = s + len(part)
                 lab[s:e] = part
                 cell_end[s] = e
@@ -189,13 +239,28 @@ def _refine(adj, lab, cell_of, cell_end, work):
                         cell_of[u] = s
                 work.append(part)
                 s = e
+            cells += len(parts) - 1
+        for members in by_cell.values():
+            for u in members:
+                cnt[u] = 0
+    return cells
 
 
 def _initial_partition(colors):
+    """The colour classes in colour order, and the partition they form as
+    _refine's (lab, cell_of, cell_end)."""
     groups = {}
     for v, c in enumerate(colors):
         groups.setdefault(c, []).append(v)
-    return [groups[c] for c in sorted(groups)]
+    cells = [groups[c] for c in sorted(groups)]
+    lab, cell_of, cell_end = [], [0] * len(colors), [0] * len(colors)
+    for cell in cells:
+        start = len(lab)
+        lab += cell
+        cell_end[start] = len(lab)
+        for v in cell:
+            cell_of[v] = start
+    return cells, (lab, cell_of, cell_end)
 
 
 class _Canonicalizer:
@@ -214,19 +279,19 @@ class _Canonicalizer:
 
     def run(self):
         """Return (key bitmap, automorphism generators)."""
-        cells = _initial_partition(self.colors)
-        lab, cell_of, cell_end = [], [0] * self.nv, [0] * self.nv
-        for cell in cells:
-            start = len(lab)
-            lab += cell
-            cell_end[start] = len(lab)
-            for v in cell:
-                cell_of[v] = start
-        _refine(self.adj, lab, cell_of, cell_end, deque(cells))
-        self._search(lab, cell_of, cell_end, ())
+        cells, (lab, cell_of, cell_end) = _initial_partition(self.colors)
+        ncells = _refine(self.adj, lab, cell_of, cell_end, deque(cells),
+                         len(cells))
+        self._search(lab, cell_of, cell_end, ncells, (), [], 0)
         return self._bitmap(self.best_cert), self.gens
 
-    def _search(self, lab, cell_of, cell_end, prefix):
+    def _search(self, lab, cell_of, cell_end, cells, prefix, stab, seen):
+        """Search below one node of the given number of cells; stab lists
+        the generators of self.gens[:seen] that fix every vertex of prefix,
+        in their order."""
+        if cells == self.nv:
+            self._leaf(lab)
+            return
         # Branch on the first largest non-singleton cell.
         target, size = None, 1
         s = 0
@@ -235,21 +300,18 @@ class _Canonicalizer:
             if e - s > size:
                 target, size = s, e - s
             s = e
-        if target is None:
-            self._leaf(lab)
-            return
         end = target + size
-        processed = set()
-        # Generators that fix the prefix, filtered once per node and
-        # extended only when the search below has found new ones.
-        stab, seen = [], 0
+        # The orbit of the processed children under stab, grown as both
+        # grow; only generators found since seen need the prefix check.
+        orbit = set()
         for v in lab[target:end]:
-            if processed:
+            if orbit:
                 if seen < len(self.gens):
-                    stab += [g for g in self.gens[seen:]
-                             if all(g[x] == x for x in prefix)]
+                    stab = stab + [g for g in self.gens[seen:]
+                                   if all(g[x] == x for x in prefix)]
                     seen = len(self.gens)
-                if v in _orbit(processed, stab):
+                    _close(orbit, list(orbit), stab)
+                if v in orbit:
                     continue
             rest = [u for u in lab[target:end] if u != v]
             clab, ccell, cend = lab[:], cell_of[:], cell_end[:]
@@ -265,9 +327,12 @@ class _Canonicalizer:
             # value of [u ~ v], so its count k - [u ~ v] into rest is
             # constant per cell: rest, next in the old queue, would split
             # nothing and queue nothing.
-            _refine(self.adj, clab, ccell, cend, deque([[v]]))
-            self._search(clab, ccell, cend, prefix + (v,))
-            processed.add(v)
+            ccells = _refine(self.adj, clab, ccell, cend, deque([[v]]),
+                             cells + 1)
+            self._search(clab, ccell, cend, ccells, prefix + (v,),
+                         [g for g in stab if g[v] == v], seen)
+            orbit.add(v)
+            _close(orbit, [v], stab)
 
     def _leaf(self, perm):
         cert = self._certificate(perm)
@@ -314,20 +379,16 @@ class _Canonicalizer:
         return bytes(bits)
 
 
-def _orbit(seeds, gens):
-    """Closure of the seed set under the generators."""
-    if not gens:
-        return seeds
-    orb = set(seeds)
-    stack = list(seeds)
+def _close(orbit, stack, gens):
+    """Add to the set orbit the images of the stack's points under the
+    generators, until it is closed."""
     while stack:
         x = stack.pop()
         for g in gens:
             y = g[x]
-            if y not in orb:
-                orb.add(y)
+            if y not in orbit:
+                orbit.add(y)
                 stack.append(y)
-    return orb
 
 
 class _PermGroup:

@@ -173,14 +173,19 @@ def max_nb(p):
     the fewest options, and each cover it finds limits the walk to
     strictly smaller ones.
     """
-    m = len(p.cubes)
-    masks = _blocking_masks(p)
-    options = [
-        [(j, mask) for j, row in enumerate(masks)
-         for mask in row.values() if mask >> i & 1]
-        for i in range(m)
-    ]
-    full = (1 << m) - 1
+    # A cube holds one code per coordinate, so at most one candidate per
+    # coordinate blocks it.  Keyed by cube bit: the coordinate bits where a
+    # candidate blocks the cube, and per coordinate bit that candidate's mask.
+    options, blocker = {}, {}
+    for j, row in enumerate(_blocking_masks(p)):
+        for mask in row.values():
+            rest = mask
+            while rest:
+                low = rest & -rest
+                options[low] = options.get(low, 0) | 1 << j
+                blocker.setdefault(low, {})[1 << j] = mask
+                rest ^= low
+    full = (1 << len(p.cubes)) - 1
     best = p.dim + 1
 
     def walk(blocked, used, k):
@@ -190,17 +195,22 @@ def max_nb(p):
             return
         if k + 1 >= best:
             return
-        pick = None
-        for i in range(m):
-            if blocked >> i & 1:
-                continue
-            opts = [o for o in options[i] if not used >> o[0] & 1]
-            if pick is None or len(opts) < len(pick):
-                pick = opts
-                if not opts:
+        free = ~used
+        pick, fewest = None, p.dim + 1
+        rest = full ^ blocked
+        while rest:
+            low = rest & -rest
+            count = (options.get(low, 0) & free).bit_count()
+            if count < fewest:
+                if not count:
                     return
-        for j, mask in pick:
-            walk(blocked | mask, used | 1 << j, k + 1)
+                pick, fewest = low, count
+            rest ^= low
+        opts = options[pick] & free
+        while opts:
+            coord = opts & -opts
+            walk(blocked | blocker[pick][coord], used | coord, k + 1)
+            opts ^= coord
 
     walk(0, 0, 0)
     return None if best > p.dim else p.dim - best

@@ -196,6 +196,44 @@ def reference_sift_close_order(gens, nv):
     return order
 
 
+def reference_refine(adj, lab, cell_of, cell_end, work):
+    """canon._refine's plain rule, the oracle for its shortcuts.
+
+    A fresh count dict per splitter; every touched cell, singletons
+    included, is visited in start order and its vertices scanned.  The
+    partition is the vertex list lab with cells indexed by start position:
+    v lies in the cell lab[cell_of[v]:cell_end[cell_of[v]]].  A split
+    rewrites only the cell it splits, and every part is queued as a
+    splitter, in partition order.
+    """
+    while work:
+        splitter = work.popleft()
+        cnt = {}
+        for w in splitter:
+            for u in adj[w]:
+                cnt[u] = cnt.get(u, 0) + 1
+        for start in sorted({cell_of[u] for u in cnt}):
+            end = cell_end[start]
+            if end - start == 1:
+                continue
+            groups = {}
+            for u in lab[start:end]:
+                groups.setdefault(cnt.get(u, 0), []).append(u)
+            if len(groups) == 1:
+                continue
+            s = start
+            for c in sorted(groups):
+                part = groups[c]
+                e = s + len(part)
+                lab[s:e] = part
+                cell_end[s] = e
+                if s != start:
+                    for u in part:
+                        cell_of[u] = s
+                work.append(part)
+                s = e
+
+
 def random_packing(rng, space, dim, steps, classes_of=enumerate_extension_classes):
     """Grow a packing by uniformly random extension classes."""
     p = empty_packing(space, dim)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     brute_equivalent,
     normalize_params,
     random_packing,
+    reference_refine,
     reference_sift_close_order,
 )
 from hypothesis import given, settings
@@ -301,17 +303,47 @@ def test_orders_match_the_tuple_sift_and_close_on_small_groups(gens):
 KEY_DIGEST = "a4caa7ddf0ae6ada9c86a2adc2f2110e4436a03a2d51e8ab65e7500c39952645"
 
 
-def test_key_bytes_are_pinned():
+def _key_corpus():
     corpus = [rod_tiling(n) for n in (3, 4, 5)]
     corpus += [hn_tiling(5), factorization_packing(one_factorization(8)),
                h_matrix(7)]
     corpus += [load_fixture(name) for name in sorted(fixtures())]
     corpus += [r.rep for r in torus_limit_census(3, include_zero_prob=True)]
     assert len(corpus) == 39
+    return corpus
+
+
+def test_key_bytes_are_pinned():
     digest = hashlib.sha256()
-    for p in corpus:
+    for p in _key_corpus():
         digest.update(canonical_key(p).bytes)
     assert digest.hexdigest() == KEY_DIGEST
+
+
+# The search's generator rows and its leaf count on the KEY_DIGEST corpus:
+# the generators feed _PermGroup and class_orbit_leaders, so a faster
+# search must find the same ones, in the same order, at the same leaves.
+GENS_DIGEST = "ff7129362f33e67730fe2754706003ba25c8838ac77c8020d5eb4cb85126828b"
+SEARCH_LEAVES = 369
+
+
+def test_search_generators_are_pinned(monkeypatch):
+    corpus = _key_corpus()
+    leaves = 0
+    real_leaf = _Canonicalizer._leaf
+
+    def counting_leaf(self, perm):
+        nonlocal leaves
+        leaves += 1
+        return real_leaf(self, perm)
+
+    monkeypatch.setattr(_Canonicalizer, "_leaf", counting_leaf)
+    digest = hashlib.sha256()
+    for p in corpus:
+        gens = canon._canon_result.__wrapped__(p).gens
+        digest.update(f"{gens.dtype}|{gens.shape}|".encode())
+        digest.update(np.ascontiguousarray(gens).tobytes())
+    assert (digest.hexdigest(), leaves) == (GENS_DIGEST, SEARCH_LEAVES)
 
 
 def _reference_bitmap(graph, perm):
@@ -364,3 +396,71 @@ def test_certificate_orders_leaves_like_the_bitmap(case):
 def test_rod_automorphism_order_matches_brute_force():
     p = load_fixture("rod")
     assert automorphism_order(p) == brute_automorphism_order(p)
+
+
+@st.composite
+def _colored_graph_and_vertex(draw):
+    nv = draw(st.integers(1, 14))
+    pairs = [(u, w) for u in range(nv) for w in range(u + 1, nv)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs),
+                            max_size=len(pairs)))
+    adj = [[] for _ in range(nv)]
+    for (u, w), edge in zip(pairs, present):
+        if edge:
+            adj[u].append(w)
+            adj[w].append(u)
+    colors = draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
+    return tuple(tuple(nbrs) for nbrs in adj), colors, draw(st.integers(0, nv - 1))
+
+
+def _individualize(state, v):
+    """Split v off the front of its cell, as the search does; False when
+    v is alone in its cell already."""
+    lab, cell_of, cell_end = state
+    start = cell_of[v]
+    end = cell_end[start]
+    if end - start == 1:
+        return False
+    rest = [u for u in lab[start:end] if u != v]
+    lab[start:end] = [v] + rest
+    cell_end[start] = start + 1
+    cell_end[start + 1] = end
+    for u in rest:
+        cell_of[u] = start + 1
+    return True
+
+
+def _cells(state):
+    """The partition as lab, cell_of and the cell ends read at cell starts."""
+    lab, cell_of, cell_end = state
+    ends, s = [], 0
+    while s < len(lab):
+        s = cell_end[s]
+        ends.append(s)
+    return lab, cell_of, ends
+
+
+def _refine_both(adj, state, splitters, ncells):
+    """Refine state in place by _refine and a copy by the oracle; check
+    they agree and return the cell count."""
+    ref = tuple(x[:] for x in state)
+    reference_refine(adj, *ref, deque(splitters))
+    got = canon._refine(adj, *state, deque(splitters), ncells)
+    assert _cells(state) == _cells(ref)
+    assert got == len(_cells(ref)[2])
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(_colored_graph_and_vertex())
+def test_refine_matches_the_plain_rule(case):
+    # the root refinement, then v individualized in the refined partition
+    # and in the unrefined colour partition, each refined from [v] alone
+    adj, colors, v = case
+    cells, root = canon._initial_partition(colors)
+    ncells = _refine_both(adj, root, cells, len(cells))
+    if _individualize(root, v):
+        _refine_both(adj, root, [[v]], ncells + 1)
+    _, raw = canon._initial_partition(colors)
+    if _individualize(raw, v):
+        _refine_both(adj, raw, [[v]], len(cells) + 1)

@@ -251,6 +251,54 @@ def test_max_nb_matches_brute_force(space, dim, steps, seed):
     assert dp_max_nb_classes(p) == tuple(c for c in classes if c.nb == top)
 
 
+def _dp_max_nb(p):
+    classes = dp_max_nb_classes(p)
+    return classes[0].nb if classes else None
+
+
+@pytest.mark.parametrize("space", (TORUS, CUBE))
+@pytest.mark.parametrize("dim", range(4))
+def test_max_nb_of_the_empty_packing(space, dim):
+    p = empty_packing(space, dim)
+    assert max_nb(p) == _dp_max_nb(p) == dim
+
+
+@pytest.mark.parametrize("space", (TORUS, CUBE))
+def test_max_nb_of_one_cube_at_dimension_zero(space):
+    # the cube fills the zero-dimensional space and no coordinate can
+    # block it
+    p = make_packing(space, 0, [()])
+    assert max_nb(p) is None
+    assert _dp_max_nb(p) is None
+
+
+def test_max_nb_when_a_cube_space_coordinate_holds_no_boundary_code():
+    # coordinate j is always grown fresh, so it holds interior parameters
+    # only and no cube has an option there
+    rng = random.Random(21)
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        j = rng.randrange(dim)
+
+        def fresh_at_j(p):
+            return tuple(c for c in enumerate_extension_classes(p)
+                         if c.coords[j] == FRESH)
+
+        p = random_packing(rng, CUBE, dim, rng.randint(1, 8), fresh_at_j)
+        assert validate(p) is None
+        assert p.m > 0
+        assert all(cube[j] not in (ZERO, ONE) for cube in p.cubes)
+        assert max_nb(p) == _dp_max_nb(p)
+
+
+def test_max_nb_matches_the_dp_on_random_torus_packings():
+    rng = random.Random(22)
+    for _ in range(150):
+        p = random_packing(rng, TORUS, rng.randint(1, 6), rng.randint(0, 8))
+        assert p.m <= 8
+        assert max_nb(p) == _dp_max_nb(p)
+
+
 def test_max_nb_matches_oracle_on_positive_path_states(monkeypatch):
     # every subset state the positive-path sweep asks about, dimension-6
     # Figure 3 packings included; the brute product is too big there, so
