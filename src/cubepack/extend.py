@@ -6,8 +6,12 @@ discrete cubes with that blocking pattern.  Class sizes count the discrete
 realizations at grid resolution N.  The step rules built on them live with
 their callers: census draws uniformly over the classes with the most fresh
 parameters (the limit), montecarlo in proportion to class size (finite N).
+classes_after turns a packing's class list into that of its child by one
+class representative, without a walk.
 """
 
+from itertools import product
+from operator import eq
 from typing import NamedTuple
 
 from .model import CUBE, ONE, TORUS, ZERO, coordinate_params, literal
@@ -136,6 +140,63 @@ def enumerate_extension_classes(p):
             walk(j + 1, child, nb + (cand == FRESH))
 
     walk(0, 0, 0)
+    return tuple(out)
+
+
+def classes_after(p, classes, cube):
+    """enumerate_extension_classes(add_cube(p, cube)), from p's classes.
+
+    classes must be enumerate_extension_classes(p) and cube the
+    class_representative of one of them; the result is the same tuple, in
+    the same order, without a walk.  A class blocks a cube iff at some
+    coordinate it holds the opposite of the cube's code.
+
+    Cube space: the candidates ZERO, ONE and FRESH do not depend on the
+    packing, so the child's classes are the parent's that block the new
+    cube, in the parent's order.
+
+    Torus: the new cube brings parameters q >= p.param_bound at the
+    coordinates where its class is fresh, and with them the candidates
+    t_q and t_q + 1.  Only the new cube holds q, so t_q blocks nothing and
+    t_q + 1 blocks the new cube alone.  Replacing the new literals of a
+    child class by FRESH therefore keeps every old cube blocked: it gives
+    a parent class, fresh at each replaced coordinate.  Conversely, at the
+    coordinates where both a parent class and the cube are fresh, any
+    choice of FRESH, t_q or t_q + 1 keeps the old cubes blocked, and the
+    result is a child class iff it blocks the new cube: by some t_q + 1 or
+    by an old literal opposite the cube's.  Each new literal used lowers
+    nb by one.  Distinct choices give distinct classes, and sorting them
+    as the walk lists them (codes ascending, FRESH last; the new codes
+    exceed the old) restores its order.
+    """
+    opp = [code ^ 1 for code in cube]
+    bound = 2 * p.param_bound
+    new = [j for j, code in enumerate(cube) if code >= bound]
+    if p.space == CUBE or not new:
+        return tuple(c for c in classes if any(map(eq, c.coords, opp)))
+    # a class matches probe iff it blocks by an old literal or is fresh
+    # at a new coordinate; the others have no child
+    probe = opp[:]
+    for j in new:
+        probe[j] = FRESH
+    out = []
+    for c in classes:
+        if not any(map(eq, c.coords, probe)):
+            continue
+        split = [j for j in new if c.coords[j] == FRESH]
+        if not split:
+            out.append(c)
+            continue
+        old = any(map(eq, c.coords, opp))
+        row = list(c.coords)
+        for picks in product(*[(cube[j], opp[j], FRESH) for j in split]):
+            if old or any(map(eq, picks, [opp[j] for j in split])):
+                for j, x in zip(split, picks):
+                    row[j] = x
+                out.append(ExtensionClass(
+                    tuple(row), c.nb - len(split) + picks.count(FRESH)))
+    top = max(cube) + 2  # above every code of the child
+    out.sort(key=lambda c: [top if x == FRESH else x for x in c.coords])
     return tuple(out)
 
 

@@ -212,10 +212,22 @@ def phi_grid(kvecs, N, space):
             rows.append(tuple(k % (2 * N) for k in vec))
     if n is None:
         raise DimensionError("empty discrete packing has no dimension")
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if grid_overlaps(rows[i], rows[j], N, space):
-                raise InvalidDiscretePackingError(f"discrete cubes {i} and {j} overlap")
+    # per coordinate, each grid value -> the bit mask of the cubes holding
+    # it; cube i is apart from the holders of its values' partners
+    holders = [{} for _ in range(n)]
+    for i, vec in enumerate(rows):
+        for held, k in zip(holders, vec):
+            held[k] = held.get(k, 0) | 1 << i
+    later = (1 << len(rows)) - 1
+    for i, vec in enumerate(rows):
+        later ^= 1 << i
+        apart = 0
+        for held, k in zip(holders, vec):
+            apart |= held.get(grid_partner(k, N, space), 0)
+        clash = later & ~apart
+        if clash:
+            j = (clash & -clash).bit_length() - 1
+            raise InvalidDiscretePackingError(f"discrete cubes {i} and {j} overlap")
     params = {}
     cubes = []
     for vec in rows:
@@ -241,12 +253,20 @@ def phi_grid(kvecs, N, space):
     return make_packing(space, n, cubes)
 
 
-def grid_blocks(x, y, N, space):
-    """Whether grid indices x and y of one coordinate form a blocking pair:
-    N apart mod 2N on the torus, the two faces 0 and N in the cube."""
+def grid_partner(x, N, space):
+    """The grid index that forms a blocking pair with x in one coordinate,
+    or None: x + N mod 2N on the torus, the other face for a face 0 or N
+    in the cube (an interior index blocks nothing)."""
     if space == TORUS:
-        return (x - y) % (2 * N) == N
-    return {x, y} == {0, N}
+        return (x + N) % (2 * N)
+    return N - x if x in (0, N) else None
+
+
+def grid_blocks(x, y, N, space):
+    """Whether grid indices x and y of one coordinate form a blocking pair."""
+    if space == TORUS:
+        y %= 2 * N
+    return y == grid_partner(x, N, space)
 
 
 def grid_overlaps(a, b, N, space):

@@ -5,16 +5,19 @@ uniformly over all addable grid positions.  The draw is done
 class-then-member with a single integer sample per step (classes weighted
 by their exact discrete size, the member index decoded within the class),
 so no grid is ever materialized and arbitrarily fine resolutions cost the
-same.  Trials run in trial-index order, each on a counter-based substream
-keyed (seed, trial index), so a trial's outcome depends on the seed and its
-index only: reports are reproducible, and a run's counts are a prefix of
-any longer run's with the same seed.
+same.  Only the empty packing's classes come from the class walk; every
+later state's are derived from its parent's by extend.classes_after, which
+returns the walk's list in the walk's order.  Trials run in trial-index
+order, each on a counter-based substream keyed (seed, trial index), so a
+trial's outcome depends on the seed and its index only: reports are
+reproducible, and a run's counts are a prefix of any longer run's with the
+same seed.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -25,6 +28,7 @@ from .extend import (
     FRESH,
     class_representative,
     class_sizes,
+    classes_after,
     enumerate_extension_classes,
 )
 from .model import (
@@ -40,7 +44,8 @@ from .model import (
 
 
 # Largest dimension simulated without allow_large: one N = 5 trial takes
-# about a second at n = 6, and at n = 7 late steps take half a second each.
+# 0.1-0.15 s at n = 6 and 1-2 s at n = 7, most of it deriving the classes
+# of the first few states, which number in the thousands.
 SIM_MAX_DIM = 6
 
 
@@ -82,12 +87,32 @@ class SimReport:
 
 
 # Sized by measurement: 400 trials at n = 4, N = 50 keep 92-93 % of an
-# unbounded cache's hits (85 % at 512) and peak at 40 MiB instead of 56.
-@lru_cache(maxsize=1024)
-def _class_sizes(p, N):
-    classes = enumerate_extension_classes(p)
+# unbounded cache's hits (85 % at 512) and peak at 38 MiB instead of 45.
+_CACHE_SIZE = 1024
+_entries = OrderedDict()
+
+
+def _class_sizes(p, N, step=None):
+    """(classes, sizes, total size) of p at N, least recently used first out.
+
+    step, when given, is (parent, its classes, cube) with p = add_cube(
+    parent, cube): a miss then derives p's classes by classes_after
+    instead of walking.
+    """
+    key = (p, N)
+    entry = _entries.get(key)
+    if entry is not None:
+        _entries.move_to_end(key)
+        return entry
+    if step is None:
+        classes = enumerate_extension_classes(p)
+    else:
+        classes = classes_after(*step)
     sizes = class_sizes(p, classes, N)
-    return classes, sizes, sum(sizes)
+    entry = _entries[key] = classes, sizes, sum(sizes)
+    if len(_entries) > _CACHE_SIZE:
+        _entries.popitem(last=False)
+    return entry
 
 
 def _randbelow(rng, total):
@@ -115,14 +140,16 @@ def sample_packing(cfg, rng):
     cube-space trials where two cubes draw the same interior value share
     a parameter.  A coarser tracking packing drives the class enumeration;
     it can only differ from the returned one by splitting such
-    coincidences, which never changes the step distribution.
+    coincidences, which never changes the step distribution.  Each step
+    adds the drawn class's representative to it, and a state missing from
+    the cache gets its classes from the state it grew from.
     """
     N = cfg.N
     p = empty_packing(cfg.space, cfg.dim)
     grid = []
     assignment = [{} for _ in range(cfg.dim)]
+    classes, sizes, total = _class_sizes(p, N)
     while True:
-        classes, sizes, total = _class_sizes(p, N)
         if total == 0:
             # the count gap below holds for torus packings only; cube-space
             # terminals with a single cube are legitimate
@@ -141,7 +168,10 @@ def sample_packing(cfg, rng):
         vec = _decode_member(p, classes[idx], draw, N, assignment)
         grid.append(vec)
         # every member of a class has the same transition
-        p = add_cube(p, class_representative(p, classes[idx]))
+        cube = class_representative(p, classes[idx])
+        child = add_cube(p, cube)
+        classes, sizes, total = _class_sizes(child, N, (p, classes, cube))
+        p = child
 
 
 def _decode_member(p, cls, member, N, assignment):

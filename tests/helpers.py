@@ -27,6 +27,8 @@ from cubepack.model import (
     ONE,
     TORUS,
     ZERO,
+    DimensionError,
+    InvalidDiscretePackingError,
     add_cube,
     empty_packing,
     is_literal,
@@ -78,6 +80,59 @@ def grid_blocked(x, y, N, space):
     if space == CUBE:
         return {x, y} == {0, N}
     return (x - y) % (2 * N) == N
+
+
+def _grid_overlapping(a, b, N, space):
+    return not any(grid_blocked(x, y, N, space) for x, y in zip(a, b))
+
+
+def pairwise_phi_grid(kvecs, N, space):
+    """model.phi_grid with its former O(m^2) overlap scan over all pairs,
+    on the independent blocking rule above."""
+    n = None
+    rows = []
+    for vec in kvecs:
+        vec = tuple(vec)
+        if n is None:
+            n = len(vec)
+        elif len(vec) != n:
+            raise DimensionError("discrete cubes of mixed dimension")
+        if space == CUBE:
+            for k in vec:
+                if not 0 <= k <= N:
+                    raise InvalidDiscretePackingError(f"corner {k}/{N} leaves [0,1], cube sticks out of [0,2]")
+            rows.append(vec)
+        else:
+            rows.append(tuple(k % (2 * N) for k in vec))
+    if n is None:
+        raise DimensionError("empty discrete packing has no dimension")
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if _grid_overlapping(rows[i], rows[j], N, space):
+                raise InvalidDiscretePackingError(f"discrete cubes {i} and {j} overlap")
+    params = {}
+    cubes = []
+    for vec in rows:
+        row = []
+        for j, k in enumerate(vec):
+            if space == CUBE:
+                if k == 0:
+                    row.append(ZERO)
+                elif k == N:
+                    row.append(ONE)
+                else:
+                    key = (j, k)
+                    if key not in params:
+                        params[key] = len(params)
+                    row.append(literal(params[key], 0))
+            else:
+                residue, shift = k % N, k // N
+                key = (j, residue)
+                if key not in params:
+                    params[key] = len(params)
+                row.append(literal(params[key], shift))
+        cubes.append(tuple(row))
+    return make_packing(space, n, cubes)
 
 
 def count_addable_positions(anchors, dim, N, space):

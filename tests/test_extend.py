@@ -28,6 +28,7 @@ from cubepack.extend import (
     ExtensionClass,
     class_representative,
     class_sizes,
+    classes_after,
     enumerate_extension_classes,
     max_nb,
     max_nb_classes,
@@ -377,21 +378,66 @@ def test_enumeration_matches_brute_force_on_census_sweep(monkeypatch):
 def test_enumeration_matches_reference_walk_on_sampler_states(
         monkeypatch, space, dim, N, trials):
     # two or more coordinates above the last two, on the states a short
-    # simulation visits; the sampler steps by the unpruned reference walk,
-    # so the states do not depend on the pruned one
-    seen = {}
+    # simulation visits; every step goes through add_cube whether or not
+    # the sampler's cache holds the child, so all transitions are seen
+    seen = set()
+
+    def record(p, cube):
+        seen.add((p, tuple(cube)))
+        return add_cube(p, cube)
+
+    monkeypatch.setattr(montecarlo, "add_cube", record)
+    montecarlo.estimate_expectation(montecarlo.SimConfig(
+        space=space, dim=dim, N=N, trials=trials, seed=1))
+    monkeypatch.undo()
+    assert len(seen) > 25
+    for p, cube in seen:
+        child = add_cube(p, cube)
+        want = reference_extension_classes(child)
+        assert enumerate_extension_classes(child) == want
+        assert classes_after(p, reference_extension_classes(p), cube) == want
+
+
+def _assert_classes_after_every_class(p):
+    classes = enumerate_extension_classes(p)
+    for c in classes:
+        cube = class_representative(p, c)
+        want = enumerate_extension_classes(add_cube(p, cube))
+        assert classes_after(p, classes, cube) == want, (p, c)
+    return classes
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    space=st.sampled_from((TORUS, CUBE)),
+    dim=st.integers(0, 5),
+    steps=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_classes_after_matches_the_walk_on_random_growth(
+        space, dim, steps, seed):
+    # every class of every state on a random growth path, the path itself
+    # chosen uniformly among the classes
+    rng = random.Random(seed)
+    p = empty_packing(space, dim)
+    for _ in range(steps + 1):
+        classes = _assert_classes_after_every_class(p)
+        if not classes:
+            break
+        p = add_cube(p, class_representative(p, rng.choice(classes)))
+
+
+def test_classes_after_matches_the_walk_on_the_census_sweep(monkeypatch):
+    seen = []
+    walk = census.enumerate_extension_classes
 
     def record(p):
-        seen[p] = reference_extension_classes(p)
-        return seen[p]
+        seen.append(p)
+        return walk(p)
 
-    monkeypatch.setattr(montecarlo, "enumerate_extension_classes", record)
-    montecarlo._class_sizes.cache_clear()
-    try:
-        montecarlo.estimate_expectation(montecarlo.SimConfig(
-            space=space, dim=dim, N=N, trials=trials, seed=1))
-    finally:
-        montecarlo._class_sizes.cache_clear()
-    assert len(seen) > 25
-    for p, want in seen.items():
-        assert enumerate_extension_classes(p) == want
+    monkeypatch.setattr(census, "enumerate_extension_classes", record)
+    census.torus_limit_census(3, include_zero_prob=True)
+    monkeypatch.undo()
+    assert len(seen) > 100
+    for p in seen:
+        _assert_classes_after_every_class(p)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_coordinate_params, normalize_params
+from helpers import (
+    brute_coordinate_params,
+    grid_blocked,
+    normalize_params,
+    pairwise_phi_grid,
+)
 
 from cubepack.census import cube_expansion, torus_limit_census
 from cubepack.constructions import (
@@ -144,6 +149,42 @@ def test_phi_rejects_overlapping_discrete_cubes():
         phi_grid([(0, 0), (1, 2)], 4, CUBE)
     with pytest.raises(InvalidDiscretePackingError):
         phi_grid([(0,), (1,)], 2, TORUS)
+
+
+@st.composite
+def _grid_rows(draw):
+    # random anchors overlap almost always; kept=True grows a packing of
+    # the non-overlapping ones instead, in draw order
+    space = draw(st.sampled_from([TORUS, CUBE]))
+    N = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 4))
+    top = 4 * N - 1 if space == TORUS else N
+    vecs = draw(st.lists(st.tuples(*[st.integers(0, top)] * n),
+                         min_size=1, max_size=12))
+    if draw(st.booleans()):
+        kept = []
+        for vec in vecs:
+            if all(any(grid_blocked(x % (2 * N), y % (2 * N), N, space)
+                       for x, y in zip(vec, row)) for row in kept):
+                kept.append(vec)
+        vecs = kept
+    return space, N, vecs
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DimensionError, InvalidDiscretePackingError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_rows())
+def test_phi_grid_matches_the_pairwise_overlap_scan(case):
+    # same packing, or the same error naming the same first pair (i, j)
+    space, N, vecs = case
+    assert (_outcome(phi_grid, vecs, N, space)
+            == _outcome(pairwise_phi_grid, vecs, N, space))
 
 
 def test_phi_rejects_cube_anchor_outside_unit_box():

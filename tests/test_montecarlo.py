@@ -159,6 +159,8 @@ def test_determinism_across_runs():
          "8dc393fc9be44504b601552666fbd158bfc2f0fffc60bd6f16587a6820cf01a5"),
         (TORUS, 5, 50, 3, 12,
          "902362ab9b24811d9ca0d680052227ff4f386c40e67e5af1211668091b5167d5"),
+        (TORUS, 6, 4, 4, 2,
+         "17469a108950fca1157d29168c59eb9068a90b6b28c06584aec2accbcdde5c48"),
     ],
 )
 def test_draws_are_pinned(space, dim, N, seed, trials, digest):
