@@ -8,13 +8,20 @@ and decides whether a packing is reached along a positive path
 and differ only in their step rule, merge key and weight: Fractions, path
 histograms, power series in 1/(N-1) truncated at the expansion order, or
 counts of positive insertion orders.  Nothing is sampled here.
+
+The limit census builds one child per orbit of a state's extension
+classes.  The cube-space expansion builds one per orbit of its touched
+patterns and count of untouched ZERO/ONE choices, weighted by the number
+of classes that group stands for, and never lists those classes.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from .canon import (
@@ -33,7 +40,9 @@ from .extend import (
 )
 from .model import (
     CUBE,
+    ONE,
     TORUS,
+    ZERO,
     ResourceGuardError,
     add_cube,
     coordinate_params,
@@ -436,19 +445,46 @@ def _expansion_key(p):
     return canonical_key(_touched_part(p)[0]).bytes
 
 
-def _expansion_leaders(rep, classes):
-    """For each class of a cube-space sweep state, the index of the first
-    class in its orbit (see cube_expansion): classes share an orbit when
-    their touched patterns share a canon.class_orbit_leaders leader on the
-    touched part and their nb agree."""
+# Per-coordinate rank of a cube-space candidate in walk order: the walk
+# lists ZERO, ONE, FRESH (see enumerate_extension_classes).
+_WALK_RANK = {ZERO: 0, ONE: 1, FRESH: 2}
+
+
+def _expansion_groups(rep, budget):
+    """The kept extension classes of a cube-space sweep state, one group
+    per orbit (see cube_expansion).
+
+    A class is kept when its shift, d_max - nb, is at most budget.  Each
+    group is (first, shift, count): first is the orbit's first class in
+    walk order, shift the orbit's common shift and count its number of
+    classes.  The groups are sorted by first in walk order; the list is
+    empty when rep is non-extensible.
+    """
     part, cols = _touched_part(rep)
-    touched = [tuple(c.coords[j] for j in cols) for c in classes]
-    patterns = {t: ExtensionClass(t, t.count(FRESH)) for t in touched}
-    lead = dict(zip(patterns,
-                    class_orbit_leaders(part, list(patterns.values()))))
-    first = {}
-    return [first.setdefault((lead[t], c.nb), i)
-            for i, (t, c) in enumerate(zip(touched, classes))]
+    touched = enumerate_extension_classes(part)
+    if not touched:
+        return []
+    tmax = max(t.nb for t in touched)
+    kept = [t for t in touched if tmax - t.nb <= budget]
+    leaders = class_orbit_leaders(part, kept)
+    size = Counter(leaders)
+    free = [k for k in range(rep.dim) if k not in cols]
+    u = len(free)
+    groups = []
+    for i, t in enumerate(kept):
+        if leaders[i] != i:
+            continue
+        row = [FRESH] * rep.dim
+        for k, x in zip(cols, t.coords):
+            row[k] = x
+        base = tmax - t.nb
+        for j in range(min(u, budget - base) + 1):
+            if j:
+                row[free[j - 1]] = ZERO
+            groups.append((ExtensionClass(tuple(row), t.nb + u - j),
+                           base + j, size[i] * comb(u, j) << j))
+    groups.sort(key=lambda g: [_WALK_RANK[x] for x in g[0].coords])
+    return groups
 
 
 def cube_expansion(n, order, allow_large=False, return_records=False):
@@ -475,11 +511,29 @@ def cube_expansion(n, order, allow_large=False, return_records=False):
     touched coordinates to touched ones, so two states are equivalent iff
     their touched parts are, each then with u = n - dim untouched
     coordinates.  Likewise a state's automorphisms are its touched part's
-    times the permutations and reflections of the untouched coordinates,
-    so the orbit of a class is the orbit of its touched pattern times its
-    FRESH count on the untouched ones (_expansion_leaders): the sweep
-    builds one child per such orbit.  Terminal records carry the full
-    packing's key and automorphism order.
+    times the permutations and reflections of the untouched coordinates.
+
+    A step therefore never lists the 3^u choices on the untouched
+    coordinates (_expansion_groups).  An untouched coordinate blocks
+    nothing, so a class blocks every cube iff its touched pattern t does:
+    the state's classes are exactly its touched part's classes t times
+    {ZERO, ONE, FRESH}^u.  A class with j ZERO/ONE choices on the
+    untouched coordinates has nb = nb_t + u - j, so d_max = t_max + u and
+    its shift d_max - nb is t_max - nb_t + j; binom(u, j) 2^j classes
+    share t and j.  The orbit of a class is the orbit of t under the
+    part's automorphisms (canon.class_orbit_leaders) times its j, and all
+    classes of such a group share a shift and give equivalent children.
+    So the step builds one child per group, weighted by the group's
+    class count times the one class's share; Series are in lowest terms,
+    so that product equals the sum of the per-class weights a merge would
+    form.  The child is built from the group's first class in walk order,
+    which lists ZERO, ONE, FRESH per coordinate: for one t that class has
+    ZERO on the first j untouched coordinates and FRESH after, and since
+    two patterns with the same j agree off the touched coordinates, the
+    first over the orbit is the one of its first pattern.  The groups go
+    out in walk order of their first classes, so every key keeps the
+    representative and position a class-by-class step gives it.  Terminal
+    records carry the full packing's key and automorphism order.
 
     Args:
         n: dimension.
@@ -501,27 +555,23 @@ def cube_expansion(n, order, allow_large=False, return_records=False):
         raise ValueError(f"expansion order must be >= 0, got {order}")
     if order > 4 and not allow_large:
         raise ResourceGuardError(f"expansion order {order} needs the long flag")
-    # the first step lists all 3^n classes of the empty packing; at order 4,
-    # n = 10 takes 1.4 s and n = 11 4.4 s, each dimension more about 3 times
-    # as long (2-core VM)
+    # kept, though no longer a cost bound: a step lists touched patterns
+    # only, and at order 4 every n from 6 to 30 takes 0.04-0.06 s (2-core VM)
     if n > 10 and not allow_large:
         raise ResourceGuardError(f"expansion in dimension {n} exceeds the "
                                  f"default limit 10")
 
     def children(rep, prob):
-        classes = enumerate_extension_classes(rep)
-        if not classes:
+        groups = _expansion_groups(rep, order - prob.valuation)
+        if not groups:
             return []
-        budget = order - prob.valuation
-        dmax = max(c.nb for c in classes)
-        kept = [c for c in classes if dmax - c.nb <= budget]
         den = [0] * (order + 1)
-        for c in kept:
-            den[dmax - c.nb] += 1
+        for _, shift, count in groups:
+            den[shift] += count
         step = prob * Series(den, order).inverse()
-        kids = _class_children(rep, kept, _expansion_leaders(rep, kept))
-        return [(child, step.shift(dmax - c.nb))
-                for c, child in zip(kept, kids)]
+        return [(add_cube(rep, class_representative(rep, first)),
+                 step.shift(shift) * count)
+                for first, shift, count in groups]
 
     zero = Series((0,) * (order + 1), order)
     one = Series((1,) + (0,) * order, order)

@@ -96,9 +96,10 @@ def enumerate_extension_classes(p):
     Otherwise the last one does, and case 2 holds symmetrically.
 
     Returns:
-        Tuple of ExtensionClass in deterministic lexicographic order
-        (literal codes ascending, FRESH after literals).  Empty when the
-        packing is non-extensible.
+        Tuple of ExtensionClass in deterministic lexicographic order, per
+        coordinate the order of _blocking_masks: on the torus literal codes
+        ascending, in the cube space ZERO (-1) then ONE (-2); FRESH last.
+        Empty when the packing is non-extensible.
     """
     if p.dim == 0:
         return () if p.cubes else (ExtensionClass((), 0),)

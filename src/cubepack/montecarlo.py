@@ -143,8 +143,14 @@ def sample_packing(cfg, rng):
     coincidences, which never changes the step distribution.  Each step
     adds the drawn class's representative to it, and a state missing from
     the cache gets its classes from the state it grew from.
+
+    Raises:
+        AssertionError: once the packing holds more than 2^dim cubes, more
+            than fit: a class list that keeps a class not blocking every
+            cube would otherwise grow the trial without end.
     """
     N = cfg.N
+    most = 2 ** cfg.dim
     p = empty_packing(cfg.space, cfg.dim)
     grid = []
     assignment = [{} for _ in range(cfg.dim)]
@@ -172,6 +178,9 @@ def sample_packing(cfg, rng):
         child = add_cube(p, cube)
         classes, sizes, total = _class_sizes(child, N, (p, classes, cube))
         p = child
+        if p.m > most:
+            raise AssertionError(
+                f"trial grew past 2^{cfg.dim} cubes: {p.space} {p.cubes}")
 
 
 def _decode_member(p, cls, member, N, assignment):

@@ -5,14 +5,16 @@ Almost everything here recomputes model quantities from first principles
 checked against independent definitions, not against itself.  The rod
 recurrence and the closed-form expansion at the end are cross-checks
 instead: the recurrence reads max_nb_classes at n = 4, and the closed form
-is fitted through interpolate_Ck.
+is fitted through interpolate_Ck.  reference_expansion_children is a former
+step rule of cube_expansion, kept as the oracle of the current one.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from cubepack.census import interpolate_Ck
+from cubepack.canon import class_orbit_leaders
+from cubepack.census import _touched_part, interpolate_Ck
 from cubepack.constructions import ROD_VECTORS, ConstructionError
 from cubepack.discrete import grid_overlaps
 from cubepack.extend import (
@@ -575,6 +577,47 @@ def normalize_params(p):
                 row.append(code)
         new_cubes.append(tuple(row))
     return make_packing(p.space, p.dim, new_cubes)
+
+
+def expansion_leaders(rep, classes):
+    """For each class of a cube-space sweep state, the index of the first
+    class in its orbit: classes share an orbit when their touched patterns
+    share a class_orbit_leaders leader on the touched part and their nb
+    agree.  The rule cube_expansion used while it listed every class."""
+    part, cols = _touched_part(rep)
+    touched = [tuple(c.coords[j] for j in cols) for c in classes]
+    patterns = {t: ExtensionClass(t, t.count(FRESH)) for t in touched}
+    lead = dict(zip(patterns,
+                    class_orbit_leaders(part, list(patterns.values()))))
+    first = {}
+    return [first.setdefault((lead[t], c.nb), i)
+            for i, (t, c) in enumerate(zip(touched, classes))]
+
+
+def reference_expansion_children(rep, prob, order):
+    """The (child, weight) pairs of one cube_expansion step from rep, one
+    per extension class: every class of rep listed and filtered by the
+    budget, each weighted x^(d_max - nb) over the kept classes' sum, and
+    each class of an orbit (expansion_leaders) given its leader's child
+    object.  The step rule cube_expansion ran before it stepped over
+    touched patterns."""
+    classes = enumerate_extension_classes(rep)
+    if not classes:
+        return []
+    budget = order - prob.valuation
+    dmax = max(c.nb for c in classes)
+    kept = [c for c in classes if dmax - c.nb <= budget]
+    den = [0] * (order + 1)
+    for c in kept:
+        den[dmax - c.nb] += 1
+    step = prob * Series(den, order).inverse()
+    leaders = expansion_leaders(rep, kept)
+    kids = []
+    for i, c in enumerate(kept):
+        kids.append(add_cube(rep, class_representative(rep, c))
+                    if leaders[i] == i else kids[leaders[i]])
+    return [(child, step.shift(dmax - c.nb))
+            for c, child in zip(kept, kids)]
 
 
 def closed_form_expansion_polys():

@@ -10,7 +10,9 @@ from helpers import (
     brute_extension_classes,
     brute_positive_orders,
     closed_form_expansion_polys,
+    expansion_leaders,
     random_packing,
+    reference_expansion_children,
 )
 
 from cubepack import canon, census, extend
@@ -412,25 +414,70 @@ def _swept_parents(monkeypatch, run):
     return seen
 
 
+def _expansion_steps(monkeypatch, run):
+    """The (state, budget, groups) of every step of run's cube_expansion
+    sweeps, groups as census._expansion_groups gives them."""
+    seen = []
+    build = census._expansion_groups
+
+    def spy(rep, budget):
+        groups = build(rep, budget)
+        seen.append((rep, budget, groups))
+        return groups
+
+    monkeypatch.setattr(census, "_expansion_groups", spy)
+    canon._canon_result.cache_clear()
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def _group_members(rep, budget, groups):
+    """Each group's full classes: rep's classes within the budget, grouped
+    by the rule that listed them all (helpers.expansion_leaders)."""
+    classes = extend.enumerate_extension_classes(rep)
+    if not groups:
+        assert not classes
+        return []
+    dmax = max(c.nb for c in classes)
+    kept = [c for c in classes if dmax - c.nb <= budget]
+    members = {}
+    for c, lead in zip(kept, expansion_leaders(rep, kept)):
+        members.setdefault(kept[lead], []).append(c)
+    # the first class of each group, in walk order, leads it
+    assert list(members) == [first for first, _, _ in groups]
+    for (first, shift, count), cs in zip(groups, members.values()):
+        assert len(cs) == count and all(dmax - c.nb == shift for c in cs)
+    return list(members.values())
+
+
+def _child(rep, c):
+    return add_cube(rep, extend.class_representative(rep, c))
+
+
 def test_classes_of_one_orbit_give_equivalent_children(monkeypatch):
-    parents = []
+    # (state, class leading its orbit, another class of that orbit)
+    pairs = []
     for n in range(1, 5):
-        parents += _swept_parents(monkeypatch, lambda: cube_expansion(n, 4))
-    parents += _swept_parents(
+        steps = _expansion_steps(monkeypatch, lambda: cube_expansion(n, 4))
+        for rep, budget, groups in steps:
+            for cs in _group_members(rep, budget, groups):
+                pairs += [(rep, cs[0], c) for c in cs[1:]]
+    parents = _swept_parents(
         monkeypatch, lambda: torus_limit_census(3, include_zero_prob=True))
-    shared = brute = 0
     for rep, classes, leaders, _ in parents:
-        kids = [add_cube(rep, extend.class_representative(rep, c))
-                for c in classes]
         for i, lead in enumerate(leaders):
             assert lead <= i and classes[lead].nb == classes[i].nb
-            if lead == i:
-                continue
-            shared += 1
-            assert canonical_key(kids[i]) == canonical_key(kids[lead])
-            if rep.m <= 6 and rep.dim <= 3:
-                brute += 1
-                assert brute_equivalent(kids[i], kids[lead])
+            if lead != i:
+                pairs.append((rep, classes[lead], classes[i]))
+    shared = brute = 0
+    for rep, lead, c in pairs:
+        shared += 1
+        kid, lead_kid = _child(rep, c), _child(rep, lead)
+        assert canonical_key(kid) == canonical_key(lead_kid)
+        if rep.m <= 6 and rep.dim <= 3:
+            brute += 1
+            assert brute_equivalent(kid, lead_kid)
     # 657 children share their leader's, 459 of them checked by brute force
     assert shared >= 600 and brute >= 400
 
@@ -440,9 +487,11 @@ def test_touched_part_key_is_complete_in_the_expansion(monkeypatch):
     # touched part exactly when they share the full canonical key
     same = apart = 0
     for n in range(1, 6):
-        steps = _swept_parents(monkeypatch, lambda: cube_expansion(n, 4))
+        steps = _expansion_steps(monkeypatch, lambda: cube_expansion(n, 4))
+        kids = [_child(rep, first) for rep, _, groups in steps
+                for first, _, _ in groups]
         reps, touched = {}, {}
-        for kid in dict.fromkeys(k for *_, kids in steps for k in kids):
+        for kid in dict.fromkeys(kids):
             t, full = census._expansion_key(kid), canonical_key(kid)
             rep, rep_full = reps.setdefault(t, (kid, full))
             assert rep_full == full and touched.setdefault(full, t) == t
@@ -456,6 +505,49 @@ def test_touched_part_key_is_complete_in_the_expansion(monkeypatch):
                 assert not brute_equivalent(a, b)
     # 20 equivalent children and 127 inequivalent pairs by brute force
     assert same >= 20 and apart >= 120
+
+
+def _swept_expansion_steps(monkeypatch, n, order):
+    """The (state, weight, children) of every step of cube_expansion(n,
+    order)."""
+    seen = []
+    run = census.sweep
+
+    def spy(start, key, children, **kwargs):
+        def record(rep, prob):
+            out = children(rep, prob)
+            seen.append((rep, prob, out))
+            return out
+        return run(start, key, record, **kwargs)
+
+    monkeypatch.setattr(census, "sweep", spy)
+    cube_expansion(n, order, allow_large=True)
+    monkeypatch.undo()
+    return seen
+
+
+def _merged(steps):
+    """key -> [first child's cubes, summed weight], in arrival order."""
+    out = {}
+    for child, w in steps:
+        k = census._expansion_key(child)
+        if k in out:
+            out[k][1] = out[k][1] + w
+        else:
+            out[k] = [child.cubes, w]
+    return list(out.items())
+
+
+@pytest.mark.parametrize("n, order", [
+    *((n, 4) for n in range(7)), *((n, 5) for n in range(6))])
+def test_group_step_matches_the_class_by_class_step(monkeypatch, n, order):
+    # the step over touched patterns and the step that lists every class
+    # merge to the same children, weights and stored representatives
+    steps = _swept_expansion_steps(monkeypatch, n, order)
+    assert steps
+    for rep, prob, kids in steps:
+        want = _merged(reference_expansion_children(rep, prob, order))
+        assert _merged(kids) == want
 
 
 def test_cube_expansion_canonical_form_count_is_pinned(monkeypatch):
@@ -487,6 +579,16 @@ def test_cube_expansion_key_count_is_pinned(monkeypatch):
     for n in range(1, 7):
         cube_expansion(n, 4)
     assert calls["_expansion_key"] == 364
+
+
+def test_cube_expansion_at_large_dimensions_matches_the_fit():
+    # C_0..C_4 fitted through n = 1..6 and evaluated at n = 7..12, where
+    # the untouched coordinates number up to 12: a step lists touched
+    # patterns only, so each run takes milliseconds
+    polys = interpolate_Ck(4, range(1, 7))
+    for n in range(7, 13):
+        series = cube_expansion(n, 4, allow_large=n > 10)
+        assert list(series.coeffs) == [p(n) for p in polys]
 
 
 def test_cube_expansion_c5_at_dimension_8():

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from helpers import count_addable_positions
 
+from cubepack import montecarlo
 from cubepack.census import torus_limit_census
 from cubepack.extend import FRESH, ExtensionClass, class_representative
 from cubepack.model import (
@@ -230,3 +232,15 @@ def test_mean_bounds_assertion():
     cfg = SimConfig(space=CUBE, dim=3, N=3, trials=50, seed=11)
     report = estimate_expectation(cfg)
     assert 1 <= report.mean <= 8
+
+
+@pytest.mark.parametrize("space", [TORUS, CUBE])
+def test_a_trial_past_two_to_the_dim_cubes_fails_fast(monkeypatch, space):
+    # a class list that keeps the drawn class, which does not block the
+    # cube it just added, would grow the packing without end
+    monkeypatch.setattr(montecarlo, "_entries", OrderedDict())
+    monkeypatch.setattr(montecarlo, "classes_after",
+                        lambda p, classes, cube: classes)
+    cfg = SimConfig(space=space, dim=2, N=50, trials=1, seed=3)
+    with pytest.raises(AssertionError, match=r"past 2\^2 cubes"):
+        sample_packing(cfg, _rng(3, 0))
