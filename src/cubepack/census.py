@@ -9,10 +9,12 @@ and differ only in their step rule, merge key and weight: Fractions, path
 histograms, power series in 1/(N-1) truncated at the expansion order, or
 counts of positive insertion orders.  Nothing is sampled here.
 
-The limit census builds one child per orbit of a state's extension
-classes.  The cube-space expansion builds one per orbit of its touched
-patterns and count of untouched ZERO/ONE choices, weighted by the number
-of classes that group stands for, and never lists those classes.
+Both exact sweeps build one child per orbit of a state's extension
+classes under its automorphisms and weight it by the orbit's class count:
+the classes of an orbit give equivalent children with equal shares.  The
+limit census lists the classes; the cube-space expansion takes orbits of
+its touched patterns and counts of untouched ZERO/ONE choices, and never
+lists the classes those groups stand for.
 """
 
 from __future__ import annotations
@@ -119,13 +121,11 @@ def sweep(start, key, children, on_level=None, _level_order=None):
     start is (level, frontier, records), frontier and records mapping a key
     to a [state, weight] entry.  children(state, weight) returns the
     (child, weight) pairs of one step, an empty list for a terminal state;
-    key(child) is the child's merge key, computed once per distinct child
-    object of a step (_class_children gives every class of an orbit one
-    object).  Entries with equal keys merge by adding weights with +, the
-    first arrival stored as is.  A terminal state moves to records under
-    the key it arrived with.  After each level on_level(level, frontier,
-    records) runs, level counting the levels done.  Returns records: every
-    terminal state with its total weight.
+    key(child) is the child's merge key.  Entries with equal keys merge by
+    adding weights with +, the first arrival stored as is.  A terminal
+    state moves to records under the key it arrived with.  After each level
+    on_level(level, frontier, records) runs, level counting the levels
+    done.  Returns records: every terminal state with its total weight.
     """
     level, frontier, records = start
     while frontier:
@@ -137,12 +137,8 @@ def sweep(start, key, children, on_level=None, _level_order=None):
             steps = children(state, weight)
             if not steps:
                 _merge(records, k, state, weight)
-            keys = {}
             for child, w in steps:
-                i = id(child)
-                if i not in keys:
-                    keys[i] = key(child)
-                _merge(frontier, keys[i], child, w)
+                _merge(frontier, key(child), child, w)
         level += 1
         if on_level is not None:
             on_level(level, frontier, records)
@@ -159,23 +155,6 @@ def _merge(table, k, state, weight):
 
 def _census_key(p):
     return canonical_key(p).bytes
-
-
-def _class_children(rep, classes, leaders):
-    """The child add_cube(rep, class_representative(rep, c)) of each class,
-    built once per orbit of classes under rep's automorphisms.
-
-    leaders[i] is the index of the first class in the orbit of class i.  A
-    class that does not lead its orbit gets its leader's child object: the
-    two children are equivalent, and the sweep keys the shared object once
-    per step.  The leader comes first in classes, so the representative a
-    sweep stores for a key is unchanged.
-    """
-    out = []
-    for i, c in enumerate(classes):
-        out.append(add_cube(rep, class_representative(rep, c))
-                   if leaders[i] == i else out[leaders[i]])
-    return out
 
 
 def _terminal_record(rep, prob, paths=None):
@@ -223,7 +202,10 @@ def torus_limit_census(
         )
 
     def children(rep, weight):
-        # uniform over the classes of maximal nb, zero on the rest
+        # uniform over the classes of maximal nb, zero on the rest.  An
+        # automorphism keeps nb, so the count classes of an orbit have one
+        # share; one child from the leader, the orbit's first class, takes
+        # count times it, and the children keep the classes' order
         classes = (enumerate_extension_classes(rep) if include_zero_prob
                    else max_nb_classes(rep))
         if not classes:
@@ -231,10 +213,10 @@ def torus_limit_census(
         best = max(c.nb for c in classes)
         share = Fraction(1, sum(c.nb == best for c in classes))
         out = []
-        kids = _class_children(rep, classes, class_orbit_leaders(rep, classes))
-        for c, child in zip(classes, kids):
-            q = share if c.nb == best else Fraction(0)
-            out.append((child,
+        for i, count in Counter(class_orbit_leaders(rep, classes)).items():
+            c = classes[i]
+            q = share * count if c.nb == best else Fraction(0)
+            out.append((add_cube(rep, class_representative(rep, c)),
                         weight.step(c.nb, q) if track_paths else weight * q))
         return out
 

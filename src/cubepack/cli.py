@@ -397,6 +397,8 @@ def run(argv, out=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args, out)
+    except BrokenPipeError:
+        raise  # main's to handle, though an OSError
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -406,7 +408,7 @@ def run(argv, out=None):
                 if "long_running" in args else "")
         print(f"refused: {exc}{hint}", file=sys.stderr)
         return 2
-    except (ConstructionError, FileNotFoundError, ValueError,
+    except (ConstructionError, OSError, ValueError,
             VerificationError) as exc:
         print(exc, file=sys.stderr)
         return 1

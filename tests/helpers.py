@@ -5,8 +5,9 @@ Almost everything here recomputes model quantities from first principles
 checked against independent definitions, not against itself.  The rod
 recurrence and the closed-form expansion at the end are cross-checks
 instead: the recurrence reads max_nb_classes at n = 4, and the closed form
-is fitted through interpolate_Ck.  reference_expansion_children is a former
-step rule of cube_expansion, kept as the oracle of the current one.
+is fitted through interpolate_Ck.  reference_expansion_children and
+reference_limit_children are former step rules of cube_expansion and
+torus_limit_census, kept as the oracles of the current ones.
 """
 
 from dataclasses import dataclass
@@ -618,6 +619,32 @@ def reference_expansion_children(rep, prob, order):
                     if leaders[i] == i else kids[leaders[i]])
     return [(child, step.shift(dmax - c.nb))
             for c, child in zip(kept, kids)]
+
+
+def reference_limit_children(rep, weight, include_zero_prob=False,
+                             track_paths=False):
+    """The (child, weight) pairs of one torus_limit_census step from rep,
+    one per extension class: uniform over the classes of maximal nb, zero
+    on the rest, and each class of an orbit (class_orbit_leaders) given
+    its leader's child object.  The step rule torus_limit_census ran
+    before it built one child per orbit."""
+    classes = (enumerate_extension_classes(rep) if include_zero_prob
+               else max_nb_classes(rep))
+    if not classes:
+        return []
+    best = max(c.nb for c in classes)
+    share = Fraction(1, sum(c.nb == best for c in classes))
+    leaders = class_orbit_leaders(rep, classes)
+    kids = []
+    for i, c in enumerate(classes):
+        kids.append(add_cube(rep, class_representative(rep, c))
+                    if leaders[i] == i else kids[leaders[i]])
+    out = []
+    for c, child in zip(classes, kids):
+        q = share if c.nb == best else Fraction(0)
+        out.append((child,
+                    weight.step(c.nb, q) if track_paths else weight * q))
+    return out
 
 
 def closed_form_expansion_polys():

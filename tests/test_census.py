@@ -13,6 +13,7 @@ from helpers import (
     expansion_leaders,
     random_packing,
     reference_expansion_children,
+    reference_limit_children,
 )
 
 from cubepack import canon, census, extend
@@ -397,17 +398,17 @@ def test_cube_expansion_rejects_negative_dimension():
 
 
 def _swept_parents(monkeypatch, run):
-    """The (state, classes, leaders, children) of every step of run's
+    """The (state, classes, leaders) of every orbit split of run's
     sweep."""
     seen = []
-    build = census._class_children
+    split = census.class_orbit_leaders
 
-    def spy(rep, classes, leaders):
-        kids = build(rep, classes, leaders)
-        seen.append((rep, classes, leaders, kids))
-        return kids
+    def spy(rep, classes):
+        leaders = split(rep, classes)
+        seen.append((rep, classes, leaders))
+        return leaders
 
-    monkeypatch.setattr(census, "_class_children", spy)
+    monkeypatch.setattr(census, "class_orbit_leaders", spy)
     canon._canon_result.cache_clear()
     run()
     monkeypatch.undo()
@@ -465,7 +466,8 @@ def test_classes_of_one_orbit_give_equivalent_children(monkeypatch):
                 pairs += [(rep, cs[0], c) for c in cs[1:]]
     parents = _swept_parents(
         monkeypatch, lambda: torus_limit_census(3, include_zero_prob=True))
-    for rep, classes, leaders, _ in parents:
+    assert parents
+    for rep, classes, leaders in parents:
         for i, lead in enumerate(leaders):
             assert lead <= i and classes[lead].nb == classes[i].nb
             if lead != i:
@@ -507,30 +509,29 @@ def test_touched_part_key_is_complete_in_the_expansion(monkeypatch):
     assert same >= 20 and apart >= 120
 
 
-def _swept_expansion_steps(monkeypatch, n, order):
-    """The (state, weight, children) of every step of cube_expansion(n,
-    order)."""
+def _swept_steps(monkeypatch, run):
+    """The (state, weight, children) of every step of run's sweep."""
     seen = []
-    run = census.sweep
+    engine = census.sweep
 
     def spy(start, key, children, **kwargs):
-        def record(rep, prob):
-            out = children(rep, prob)
-            seen.append((rep, prob, out))
+        def record(rep, weight):
+            out = children(rep, weight)
+            seen.append((rep, weight, out))
             return out
-        return run(start, key, record, **kwargs)
+        return engine(start, key, record, **kwargs)
 
     monkeypatch.setattr(census, "sweep", spy)
-    cube_expansion(n, order, allow_large=True)
+    run()
     monkeypatch.undo()
     return seen
 
 
-def _merged(steps):
+def _merged(steps, key=census._expansion_key):
     """key -> [first child's cubes, summed weight], in arrival order."""
     out = {}
     for child, w in steps:
-        k = census._expansion_key(child)
+        k = key(child)
         if k in out:
             out[k][1] = out[k][1] + w
         else:
@@ -543,11 +544,32 @@ def _merged(steps):
 def test_group_step_matches_the_class_by_class_step(monkeypatch, n, order):
     # the step over touched patterns and the step that lists every class
     # merge to the same children, weights and stored representatives
-    steps = _swept_expansion_steps(monkeypatch, n, order)
+    steps = _swept_steps(
+        monkeypatch, lambda: cube_expansion(n, order, allow_large=True))
     assert steps
     for rep, prob, kids in steps:
         want = _merged(reference_expansion_children(rep, prob, order))
         assert _merged(kids) == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("mode", [
+    {}, {"include_zero_prob": True}, {"track_paths": True}])
+def test_orbit_step_matches_the_class_by_class_limit_step(monkeypatch, n,
+                                                          mode):
+    # one child per orbit weighted by its class count and the step that
+    # weights every class's child merge to the same children, weights and
+    # stored representatives
+    steps = _swept_steps(monkeypatch, lambda: torus_limit_census(n, **mode))
+    orbits = classes = 0
+    for rep, weight, kids in steps:
+        ref = reference_limit_children(rep, weight, **mode)
+        orbits, classes = orbits + len(kids), classes + len(ref)
+        assert _merged(kids, census._census_key) == _merged(
+            ref, census._census_key)
+    # some orbit holds two classes: 4 children for 6 classes at n = 2, 37
+    # for 67 at n = 3, and 10 for 15 and 799 for 1,181 with zero classes
+    assert orbits < classes
 
 
 def test_cube_expansion_canonical_form_count_is_pinned(monkeypatch):
@@ -571,8 +593,8 @@ def test_cube_expansion_canonical_form_count_is_pinned(monkeypatch):
 
 
 def test_cube_expansion_key_count_is_pinned(monkeypatch):
-    # the sweep keys each distinct child object of a step once: 364 keys
-    # here, where keying every class's child took 1,921
+    # the sweep keys each emitted child, one per orbit group of a step:
+    # 364 keys here, where keying every class's child took 1,921
     calls = {"_expansion_key": 0}
     monkeypatch.setattr(census, "_expansion_key", _counting(
         calls, "_expansion_key", census._expansion_key))

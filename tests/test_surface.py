@@ -4,8 +4,9 @@ Every public top-level def or class in src/cubepack must be used by another
 package module, by the benchmark in perfbench/, or by its own module outside
 its definition.  A re-export in the package's __init__ is not a use.  A name
 only the tests call belongs in tests/helpers.py or nowhere; the few kept on
-purpose are listed with their reasons.  No module imports a name it never
-reads.
+purpose are listed with their reasons.  Every private top-level def or class
+must be read by some package module outside its definition, so a helper a
+deletion leaves behind fails here.  No module imports a name it never reads.
 """
 
 import ast
@@ -41,10 +42,10 @@ def _used_names(tree, skip=None):
     return used
 
 
-def _public_definitions(tree):
+def _definitions(tree, private=False):
     return [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+            and node.name.startswith("_") == private]
 
 
 def _package_trees():
@@ -52,28 +53,34 @@ def _package_trees():
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _unused_public_names():
+def _unread_definitions(private=False, outside=frozenset()):
+    """(module, name) of each public, or private, top-level def or class
+    that neither outside nor a package module reads outside its
+    definition."""
     trees = _package_trees()
-    bench = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        bench |= _used_names(ast.parse(path.read_text()))
-    unused = []
+    unread = []
     for module, tree in trees.items():
-        others = set(bench)
+        read = set(outside)
         for other, other_tree in trees.items():
             if other not in (module, "__init__"):
-                others |= _used_names(other_tree)
-        for node in _public_definitions(tree):
-            if node.name in others or node.name in _used_names(tree, node):
-                continue
-            unused.append((module, node.name))
-    return unused
+                read |= _used_names(other_tree)
+        unread += [(module, node.name)
+                   for node in _definitions(tree, private)
+                   if node.name not in read | _used_names(tree, node)]
+    return unread
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    unused = [name for name in _unused_public_names()
+    bench = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        bench |= _used_names(ast.parse(path.read_text()))
+    unused = [name for name in _unread_definitions(outside=bench)
               if name not in KEPT_FOR_TESTS]
     assert unused == []
+
+
+def test_every_private_name_is_read_in_the_package():
+    assert _unread_definitions(private=True) == []
 
 
 def _unread_imports(tree):
