@@ -6,18 +6,21 @@ discrete cubes with that blocking pattern.  Class sizes count the discrete
 realizations at grid resolution N.  The step rules built on them live with
 their callers: census draws uniformly over the classes with the most fresh
 parameters (the limit), montecarlo in proportion to class size (finite N).
-classes_after turns a packing's class list into that of its child by one
-class representative, without a walk.
+classes_after turns a packing's classes and their sizes into those of its
+child by one class representative, without a walk.
 """
 
-from itertools import product
+from itertools import compress, product, repeat
+from math import inf, prod
 from operator import eq
 from typing import NamedTuple
 
 from .model import CUBE, ONE, TORUS, ZERO, coordinate_params, literal
 
-# Pattern code for a coordinate left fresh; sorts after every literal code.
-FRESH = "*"
+# Pattern code for a coordinate left fresh.  It compares greater than every
+# literal code, so torus classes sort in walk order as plain tuples; the
+# cube-space order ZERO, ONE, FRESH is not numeric (see census._WALK_RANK).
+FRESH = inf
 
 
 class ExtensionClass(NamedTuple):
@@ -144,70 +147,109 @@ def enumerate_extension_classes(p):
     return tuple(out)
 
 
-def classes_after(p, classes, cube):
-    """enumerate_extension_classes(add_cube(p, cube)), from p's classes.
+def classes_after(p, classes, sizes, cube, N):
+    """(classes, sizes) of add_cube(p, cube) at N, from p's.
 
-    classes must be enumerate_extension_classes(p) and cube the
-    class_representative of one of them; the result is the same tuple, in
-    the same order, without a walk.  A class blocks a cube iff at some
-    coordinate it holds the opposite of the cube's code.
+    classes must be enumerate_extension_classes(p), sizes class_sizes(p,
+    classes, N) and cube the class_representative of one of the classes.
+    The result is the child's enumerate_extension_classes and their
+    class_sizes at N, the same tuples in the same order, without a walk
+    and without a second pass for the sizes.  A class blocks a cube iff at
+    some coordinate it holds the opposite of the cube's code.
 
     Cube space: the candidates ZERO, ONE and FRESH do not depend on the
     packing, so the child's classes are the parent's that block the new
     cube, in the parent's order.
 
     Torus: the new cube brings parameters q >= p.param_bound at the
-    coordinates where its class is fresh, and with them the candidates
-    t_q and t_q + 1.  Only the new cube holds q, so t_q blocks nothing and
-    t_q + 1 blocks the new cube alone.  Replacing the new literals of a
-    child class by FRESH therefore keeps every old cube blocked: it gives
-    a parent class, fresh at each replaced coordinate.  Conversely, at the
-    coordinates where both a parent class and the cube are fresh, any
-    choice of FRESH, t_q or t_q + 1 keeps the old cubes blocked, and the
-    result is a child class iff it blocks the new cube: by some t_q + 1 or
-    by an old literal opposite the cube's.  Each new literal used lowers
-    nb by one.  Distinct choices give distinct classes, and sorting them
-    as the walk lists them (codes ascending, FRESH last; the new codes
-    exceed the old) restores its order.
+    coordinates where its class is fresh (the new coordinates), and with
+    them the candidates t_q and t_q + 1.  Only the new cube holds q, so t_q
+    blocks nothing and t_q + 1 blocks the new cube alone.  Replacing the
+    new literals of a child class by FRESH therefore keeps every old cube
+    blocked: it gives a parent class, fresh at each replaced coordinate.
+    Conversely, at the new coordinates where a parent class is fresh (its
+    split coordinates), any choice of FRESH, t_q or t_q + 1 keeps the old
+    cubes blocked, and the result is a child class iff it blocks the new
+    cube: by some t_q + 1 or by an old literal opposite the cube's.  A
+    class with no split coordinate is kept as it is iff it blocks the new
+    cube by an old literal.  Each new literal used lowers nb by one.
+    Distinct choices give distinct classes, and sorting them as the walk
+    lists them (codes ascending, FRESH last) restores its order; FRESH
+    compares above every code, so plain tuple order does that.
+
+    Sizes.  Cube space: every size is (N-1)^nb and the kept classes are
+    unchanged, so each keeps its size.  Torus: a size is the product over
+    the class's fresh coordinates j of f_j = max(0, 2N - 2 N_j), N_j the
+    parameters j owns, counted in one pass over p.param_coord.  The child
+    owns one more parameter at each new coordinate and the same ones
+    elsewhere, so f_j stays at every other coordinate and becomes
+    max(0, 2N - 2 (N_j + 1)) = max(0, f_j - 2) at a new one.  A class kept
+    without a split is fresh at no new coordinate, so all its factors,
+    and its size, are the parent's.  A split class's child keeps the
+    parent's factors at its other fresh coordinates; at a split coordinate
+    it has the factor max(0, f_j - 2) where it stays FRESH and none where
+    it takes the literal t_q or t_q + 1.  The other factors are multiplied
+    out, not divided out of the parent's size: f_j at a split coordinate
+    can be 0.
     """
     opp = [code ^ 1 for code in cube]
     bound = 2 * p.param_bound
     new = [j for j, code in enumerate(cube) if code >= bound]
     if p.space == CUBE or not new:
-        return tuple(c for c in classes if any(map(eq, c.coords, opp)))
+        keep = [any(map(eq, c.coords, opp)) for c in classes]
+        # via lists: a tuple built from an iterator can keep the slack of
+        # its growth, and the sampler caches these
+        return (tuple(list(compress(classes, keep))),
+                tuple(list(compress(sizes, keep))))
+    owned = [0] * p.dim
+    for _, j in p.param_coord:
+        owned[j] += 1
+    free = [max(0, 2 * N - 2 * k) for k in owned]
     # a class matches probe iff it blocks by an old literal or is fresh
-    # at a new coordinate; the others have no child
+    # at a new coordinate; the others have no child.  stay holds the
+    # factors the child keeps, 1 at the new coordinates.
     probe = opp[:]
+    stay = free[:]
     for j in new:
         probe[j] = FRESH
-    out = []
-    for c in classes:
+        stay[j] = 1
+    out, out_sizes = [], []
+    for c, size in zip(classes, sizes):
         if not any(map(eq, c.coords, probe)):
             continue
         split = [j for j in new if c.coords[j] == FRESH]
         if not split:
             out.append(c)
+            out_sizes.append(size)
             continue
+        rest = prod(compress(stay, map(eq, c.coords, repeat(FRESH))))
         old = any(map(eq, c.coords, opp))
+        blocks = [opp[j] for j in split]
         row = list(c.coords)
-        for picks in product(*[(cube[j], opp[j], FRESH) for j in split]):
-            if old or any(map(eq, picks, [opp[j] for j in split])):
+        for picks, factors in zip(
+                product(*[(cube[j], opp[j], FRESH) for j in split]),
+                product(*[(1, 1, max(0, free[j] - 2)) for j in split])):
+            if old or any(map(eq, picks, blocks)):
                 for j, x in zip(split, picks):
                     row[j] = x
                 out.append(ExtensionClass(
                     tuple(row), c.nb - len(split) + picks.count(FRESH)))
-    top = max(cube) + 2  # above every code of the child
-    out.sort(key=lambda c: [top if x == FRESH else x for x in c.coords])
-    return tuple(out)
+                out_sizes.append(prod(factors, start=rest))
+    # sorting indices, not (class, size) pairs, allocates no container
+    # per class for the garbage collector to track
+    order = sorted(range(len(out)), key=out.__getitem__)
+    return (tuple([out[i] for i in order]),
+            tuple([out_sizes[i] for i in order]))
 
 
 def class_sizes(p, classes, N):
     """Number of discrete realizations of each class at resolution N.
 
-    Torus: product over fresh coordinates j of (2N - 2 N_j), where N_j
-    counts the parameters coordinate j owns; cube space: (N-1)^nb.  Sizes
-    may be zero when the grid is too coarse.  Returns a tuple in the order
-    of `classes`.
+    Torus: product over fresh coordinates j of max(0, 2N - 2 N_j), where
+    N_j counts the parameters coordinate j owns; cube space: (N-1)^nb.
+    Sizes may be zero when the grid is too coarse.  Returns a tuple in the
+    order of `classes`.  classes_after carries sizes from a packing to its
+    child; this sizes a packing's classes from scratch.
     """
     if p.space == CUBE:
         base = max(0, N - 1)

@@ -5,8 +5,9 @@ uniformly over all addable grid positions.  The draw is done
 class-then-member with a single integer sample per step (classes weighted
 by their exact discrete size, the member index decoded within the class),
 so no grid is ever materialized and arbitrarily fine resolutions cost the
-same.  Only the empty packing's classes come from the class walk; every
-later state's are derived from its parent's by extend.classes_after, which
+same.  Only the empty packing's classes come from the class walk, and its
+sizes from extend.class_sizes; every later state's classes and sizes are
+derived from its parent's in one step by extend.classes_after, which
 returns the walk's list in the walk's order.  Trials run in trial-index
 order, each on a counter-based substream keyed (seed, trial index), so a
 trial's outcome depends on the seed and its index only: reports are
@@ -44,8 +45,8 @@ from .model import (
 
 
 # Largest dimension simulated without allow_large: one N = 5 trial takes
-# 0.1-0.15 s at n = 6 and 1-2 s at n = 7, most of it deriving the classes
-# of the first few states, which number in the thousands.
+# 0.1-0.2 s at n = 6 and 1.2-2 s at n = 7 (seeds 1-5), most of it deriving
+# the classes of the first few states, which number in the thousands.
 SIM_MAX_DIM = 6
 
 
@@ -87,7 +88,8 @@ class SimReport:
 
 
 # Sized by measurement: 400 trials at n = 4, N = 50 keep 92-93 % of an
-# unbounded cache's hits (85 % at 512) and peak at 38 MiB instead of 45.
+# unbounded cache's hits (85 % at 512) and peak at 37.8 MiB instead of
+# 45.4 (seeds 1-3).
 _CACHE_SIZE = 1024
 _entries = OrderedDict()
 
@@ -95,9 +97,9 @@ _entries = OrderedDict()
 def _class_sizes(p, N, step=None):
     """(classes, sizes, total size) of p at N, least recently used first out.
 
-    step, when given, is (parent, its classes, cube) with p = add_cube(
-    parent, cube): a miss then derives p's classes by classes_after
-    instead of walking.
+    step, when given, is (parent, its classes, their sizes, cube) with
+    p = add_cube(parent, cube): a miss then carries the parent's classes
+    and sizes over to p by classes_after instead of walking and sizing.
     """
     key = (p, N)
     entry = _entries.get(key)
@@ -106,9 +108,9 @@ def _class_sizes(p, N, step=None):
         return entry
     if step is None:
         classes = enumerate_extension_classes(p)
+        sizes = class_sizes(p, classes, N)
     else:
-        classes = classes_after(*step)
-    sizes = class_sizes(p, classes, N)
+        classes, sizes = classes_after(*step, N)
     entry = _entries[key] = classes, sizes, sum(sizes)
     if len(_entries) > _CACHE_SIZE:
         _entries.popitem(last=False)
@@ -176,7 +178,8 @@ def sample_packing(cfg, rng):
         # every member of a class has the same transition
         cube = class_representative(p, classes[idx])
         child = add_cube(p, cube)
-        classes, sizes, total = _class_sizes(child, N, (p, classes, cube))
+        classes, sizes, total = _class_sizes(
+            child, N, (p, classes, sizes, cube))
         p = child
         if p.m > most:
             raise AssertionError(

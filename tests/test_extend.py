@@ -395,15 +395,23 @@ def test_enumeration_matches_reference_walk_on_sampler_states(
         child = add_cube(p, cube)
         want = reference_extension_classes(child)
         assert enumerate_extension_classes(child) == want
-        assert classes_after(p, reference_extension_classes(p), cube) == want
+        parent = reference_extension_classes(p)
+        assert classes_after(p, parent, class_sizes(p, parent, N), cube, N) \
+            == (want, class_sizes(child, want, N))
 
 
 def _assert_classes_after_every_class(p):
+    # the carried sizes of every child class, zero ones included: at N = 2
+    # and 3 the free counts reach 0
     classes = enumerate_extension_classes(p)
+    sizes = {N: class_sizes(p, classes, N) for N in (2, 3, 50)}
     for c in classes:
         cube = class_representative(p, c)
-        want = enumerate_extension_classes(add_cube(p, cube))
-        assert classes_after(p, classes, cube) == want, (p, c)
+        child = add_cube(p, cube)
+        want = enumerate_extension_classes(child)
+        for N, parent_sizes in sizes.items():
+            got = classes_after(p, classes, parent_sizes, cube, N)
+            assert got == (want, class_sizes(child, want, N)), (p, c, N)
     return classes
 
 

@@ -5,6 +5,8 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import count_addable_positions
 
@@ -109,6 +111,35 @@ def test_returned_packing_is_projection_of_anchors():
             # no grid position is left addable: the packing is maximal
             assert count_addable_positions(grid, dim, N, space) == 0
             assert packing == phi_grid(grid, N, space)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    space=st.sampled_from((TORUS, CUBE)),
+    dim=st.integers(1, 3),
+    N=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_carried_sizes_count_the_addable_grid_positions(space, dim, N, seed):
+    # every state after the first gets its sizes from classes_after; with
+    # an empty cache each one misses, so the k-th carried list belongs to
+    # the state holding the first k drawn cubes
+    step = montecarlo.classes_after
+    carried = []
+
+    def record(*args):
+        out = step(*args)
+        carried.append(out[1])
+        return out
+
+    cfg = SimConfig(space=space, dim=dim, N=N, trials=1, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_entries", OrderedDict())
+        mp.setattr(montecarlo, "classes_after", record)
+        _, grid, count = sample_packing(cfg, _rng(seed, 0))
+    assert len(carried) == count
+    for k, sizes in enumerate(carried, 1):
+        assert sum(sizes) == count_addable_positions(grid[:k], dim, N, space)
 
 
 def test_expectation_cube_line():
@@ -240,7 +271,7 @@ def test_a_trial_past_two_to_the_dim_cubes_fails_fast(monkeypatch, space):
     # cube it just added, would grow the packing without end
     monkeypatch.setattr(montecarlo, "_entries", OrderedDict())
     monkeypatch.setattr(montecarlo, "classes_after",
-                        lambda p, classes, cube: classes)
+                        lambda p, classes, sizes, cube, N: (classes, sizes))
     cfg = SimConfig(space=space, dim=2, N=50, trials=1, seed=3)
     with pytest.raises(AssertionError, match=r"past 2\^2 cubes"):
         sample_packing(cfg, _rng(3, 0))
