@@ -3,7 +3,10 @@
 Packings are encoded as colored graphs whose automorphisms are exactly the
 allowed relabelings (cube reorder, coordinate permutation, parameter
 renaming with literal swap on the torus, 0/1 reflection in the cube case).
-Canonical labeling is individualization-refinement with orbit pruning.  The
+Canonical labeling is individualization-refinement with orbit pruning
+(McKay, "Practical graph isomorphism", 1981).  Refinement queues only the
+splitters that can split: at the root the colour classes encode does not
+prove equitable, and after a split every part but the last (_refine).  The
 search's automorphism generators are cached with the key.  They have two
 readers.  class_orbit_leaders maps a packing's extension classes through
 them, so a sweep builds one child per orbit of classes.  automorphism_order
@@ -46,11 +49,16 @@ COLOR_LITERAL = 3
 COLOR_CELL = 4
 COLOR_BOUNDARY = 5
 
+# The colour classes the root refinement queues, per space: encode's colour
+# partition is equitable with respect to every other class (see encode).
+TORUS_ROOT_SPLITTERS = (COLOR_CELL,)
+CUBE_ROOT_SPLITTERS = (COLOR_LITERAL, COLOR_CELL, COLOR_BOUNDARY)
+
 # Largest dimension the canonical form accepts: the search recurses once per
 # individualized vertex, so far larger packings would exhaust the stack.  On
-# the empty torus packing `cubepack canon` takes about 0.4 s at 24
-# dimensions, 0.5 s at 28 and 0.75 s at 32, interpreter start included
-# (2-core VM).
+# the empty torus packing a canonical key takes about 0.3 s at 24
+# dimensions, 0.5 s at 28 and 0.55 s at 32, interpreter start included
+# (2-core VM, the cap lifted past 24).
 CANON_MAX_DIM = 24
 
 
@@ -121,6 +129,20 @@ def encode(p):
     per (cube, coordinate) slot.  A cell is adjacent to its cube, its
     coordinate, and the literal it holds; literals attach to their
     parameter, boundary literals attach to their coordinate.
+
+    The colour partition is equitable with respect to every colour class
+    but those of TORUS_ROOT_SPLITTERS or CUBE_ROOT_SPLITTERS, so the root
+    refinement queues only those.  Counting each vertex's neighbours in a
+    class: every cell has one cube and one coordinate, and nothing else
+    touches a cube or a coordinate vertex but (in the cube case) the two
+    boundary vertices of each coordinate; every literal has one parameter,
+    and nothing else touches a parameter but its literals.  So each vertex
+    of a colour counts the same into the cube, the coordinate and the
+    parameter classes.  On the torus every cell holds a literal, so each
+    cell counts one literal, each parameter two (its two shifts), and every
+    other vertex none.  What is left can split: how many cells hold a
+    literal or boundary vertex, and in the cube case whether a cell holds
+    a literal or a boundary vertex.
     """
     m, n = p.m, p.dim
     lay = _Layout(p)
@@ -164,9 +186,32 @@ def _refine(adj, lab, cell_of, cell_end, work, cells):
     Each splitter counts, per vertex, its neighbors in the splitter, and
     every cell holding a counted vertex is split by count, in ascending
     order of start.  A split rewrites only the cell it splits; its parts
-    go in ascending count, each in label order, and every part is queued
-    as a splitter.  cells is the partition's number of cells; the number
-    after refinement is returned.
+    go in ascending count, each in label order, and every part but the
+    last is queued as a splitter.  cells is the partition's number of
+    cells; the number after refinement is returned.
+
+    Precondition: each cell of the input partition is in work, or the
+    partition is equitable with respect to it, or it is the rest of an
+    individualization {v} | rest whose {v} is in work, in a partition
+    equitable with respect to the cell {v} + rest.  The root refinement
+    queues every colour class but those encode proves equitable, and the
+    search individualizes in a refined, hence equitable, partition, so
+    both calls meet it.  Under it the splits are exactly those of the
+    plain rule (every part queued, and the input cells not in work queued
+    after it), in its order, because every splitter it processes that is
+    left out here splits nothing and queues nothing:
+      - an input cell the partition is equitable with respect to stays
+        so under refinement;
+      - the last part Pk of a split of a cell C into P1..Pk.  When the
+        plain rule dequeues Pk, the partition is equitable with respect
+        to C, which was queued before its parts (or is, by induction,
+        another skipped splitter, or an input cell with the property
+        above), and to P1..P(k-1), queued ahead of Pk and processed.  So
+        every vertex of a cell counts count(C) - sum count(Pi) into Pk,
+        one value per cell.  The rest of an individualization is the
+        case k = 2, P1 = {v}.  Skipping the largest part instead
+        (Hopcroft's choice) would split the cells in another order, so
+        the parts, and the keys, would change.
 
     The counts live in one list indexed by vertex, grouped by cell as they
     are made, and only the touched entries are reset after each splitter.
@@ -237,7 +282,8 @@ def _refine(adj, lab, cell_of, cell_end, work, cells):
                 if s != start:
                     for u in part:
                         cell_of[u] = s
-                work.append(part)
+                if e != end:
+                    work.append(part)
                 s = e
             cells += len(parts) - 1
         for members in by_cell.values():
@@ -266,7 +312,7 @@ def _initial_partition(colors):
 class _Canonicalizer:
     """Individualization-refinement search over one colored graph."""
 
-    def __init__(self, graph):
+    def __init__(self, graph, root_colors):
         self.adj = graph.adj
         self.colors = graph.colors
         self.nv = len(graph.colors)
@@ -276,12 +322,18 @@ class _Canonicalizer:
         self.best_cert = None
         self.best_perm = None
         self.gens = []
+        self.root_colors = root_colors
 
     def run(self):
-        """Return (key bitmap, automorphism generators)."""
+        """Return (key bitmap, automorphism generators).
+
+        The root refinement queues the colour classes of root_colors, in
+        colour order; the colour partition must be equitable with respect
+        to every other class.
+        """
         cells, (lab, cell_of, cell_end) = _initial_partition(self.colors)
-        ncells = _refine(self.adj, lab, cell_of, cell_end, deque(cells),
-                         len(cells))
+        work = deque(c for c in cells if self.colors[c[0]] in self.root_colors)
+        ncells = _refine(self.adj, lab, cell_of, cell_end, work, len(cells))
         self._search(lab, cell_of, cell_end, ncells, (), [], 0)
         return self._bitmap(self.best_cert), self.gens
 
@@ -320,13 +372,9 @@ class _Canonicalizer:
             cend[target + 1] = end
             for u in rest:
                 ccell[u] = target + 1
-            # [v] alone refines as [v] then rest would: this node's
-            # partition is equitable, so each vertex u of a cell counts
-            # some k neighbors in the old cell {v} + rest, the same k for
-            # the whole cell.  The [v] pass leaves every cell with one
-            # value of [u ~ v], so its count k - [u ~ v] into rest is
-            # constant per cell: rest, next in the old queue, would split
-            # nothing and queue nothing.
+            # rest is the last part of the split {v} | rest of a cell of
+            # this equitable partition, so it is not queued (_refine's
+            # precondition and its last-part rule).
             ccells = _refine(self.adj, clab, ccell, cend, deque([[v]]),
                              cells + 1)
             self._search(clab, ccell, cend, ccells, prefix + (v,),
@@ -466,7 +514,8 @@ def _canon_result(p):
             f"canonical form of dimension {p.dim} exceeds the cap of "
             f"{CANON_MAX_DIM}")
     graph = encode(p)
-    cert, gens = _Canonicalizer(graph).run()
+    root = TORUS_ROOT_SPLITTERS if p.space == TORUS else CUBE_ROOT_SPLITTERS
+    cert, gens = _Canonicalizer(graph, root).run()
     counts = {}
     for c in graph.colors:
         counts[c] = counts.get(c, 0) + 1

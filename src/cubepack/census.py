@@ -349,19 +349,33 @@ def laminated_mass(records):
     return sum((r.prob for r in records if laminated(r.rep)), Fraction(0))
 
 
-def _positive_cubes(sub, cubes):
+def _positive_cubes(sub, cubes, bound=None):
     """The keys k of cubes, a {k: cube} map, whose insertion into sub is a
-    positive step: the cube adds as many fresh parameters as the best
-    extension class of sub.  Empty when sub is non-extensible."""
-    best = max_nb(sub)
-    if best is None:
-        return []
+    positive step, and sub's best fresh-parameter count: a positive cube
+    adds as many fresh parameters as the best extension class of sub.
+    ([], None) when sub is non-extensible.
+
+    bound, when given, is max_nb of a packing sub extends, and every cube
+    of cubes is addable to sub.  max_nb never rises when a cube is added:
+    a class of the larger packing, with its literals of parameters the
+    smaller one lacks turned into FRESH, is a class of the smaller one
+    with nb at least as large.  An addable cube is a class of sub, so the cubes' best count
+    r bounds max_nb(sub) from below, and r == bound closes the bracket
+    without max_nb's cover walk.
+    """
     sets = coordinate_params(sub)
-    return [
-        k for k, cube in cubes.items()
-        if sum(is_literal(c) and param_of(c) not in s
-               for c, s in zip(cube, sets)) == best
-    ]
+    counts = {
+        k: sum(is_literal(c) and param_of(c) not in s
+               for c, s in zip(cube, sets))
+        for k, cube in cubes.items()
+    }
+    if bound is not None and max(counts.values()) == bound:
+        best = bound
+    else:
+        best = max_nb(sub)
+        if best is None:
+            return [], None
+    return [k for k, nb in counts.items() if nb == best], best
 
 
 # Test-only: the brute-force order tests check _positive_cubes through it.
@@ -377,7 +391,7 @@ def replay_is_positive(p, order=None):
         raise ValueError("order must be a permutation of the cube indices")
     sub = empty_packing(p.space, p.dim)
     for i in idx:
-        if not _positive_cubes(sub, {i: p.cubes[i]}):
+        if not _positive_cubes(sub, {i: p.cubes[i]})[0]:
             return False
         sub = add_cube(sub, p.cubes[i])
     return True
@@ -388,21 +402,26 @@ def positive_path_exists(p, allow_large=False):
 
     Sweeps the lattice of cube subsets, states keyed by their cube mask and
     weighted by their number of positive orders, so all m! orders are
-    covered at 2^m cost.
+    covered at 2^m cost.  Each state carries its first parent's best count
+    as the bound of _positive_cubes; any parent's would do, each being a
+    sub-packing of the state.  The empty packing's is p.dim, its all-FRESH
+    class.  p must be a valid packing (verify_fixture
+    validates first): the bound needs every remaining cube to be addable.
     """
     if p.m > 16 and not allow_large:
         raise ResourceGuardError(f"subset walk over 2^{p.m} states")
     full = (1 << p.m) - 1
 
     def children(state, count):
-        mask, sub = state
+        mask, sub, bound = state
         rest = {i: p.cubes[i] for i in range(p.m) if not mask >> i & 1}
         if not rest:
             return []
-        return [((mask | 1 << i, add_cube(sub, p.cubes[i])), count)
-                for i in _positive_cubes(sub, rest)]
+        keys, best = _positive_cubes(sub, rest, bound)
+        return [((mask | 1 << i, add_cube(sub, p.cubes[i]), best), count)
+                for i in keys]
 
-    start = (0, {0: [(0, empty_packing(p.space, p.dim)), 1]}, {})
+    start = (0, {0: [(0, empty_packing(p.space, p.dim), p.dim), 1]}, {})
     return full in sweep(start, lambda state: state[0], children)
 
 

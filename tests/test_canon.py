@@ -380,7 +380,7 @@ def _graph_and_two_orders(draw):
 @given(_graph_and_two_orders())
 def test_certificate_orders_leaves_like_the_bitmap(case):
     graph, a, b = case
-    canon = _Canonicalizer(graph)
+    canon = _Canonicalizer(graph, (0,))
     ca, cb = canon._certificate(a), canon._certificate(b)
     ra, rb = _reference_bitmap(graph, a), _reference_bitmap(graph, b)
     assert (ca > cb) - (ca < cb) == (ra > rb) - (ra < rb)
@@ -455,7 +455,9 @@ def _refine_both(adj, state, splitters, ncells):
 @given(_colored_graph_and_vertex())
 def test_refine_matches_the_plain_rule(case):
     # the root refinement, then v individualized in the refined partition
-    # and in the unrefined colour partition, each refined from [v] alone
+    # and refined from [v] alone, and v individualized in the unrefined
+    # colour partition and refined from every cell: the cases _refine's
+    # precondition allows
     adj, colors, v = case
     cells, root = canon._initial_partition(colors)
     ncells = _refine_both(adj, root, cells, len(cells))
@@ -463,4 +465,34 @@ def test_refine_matches_the_plain_rule(case):
         _refine_both(adj, root, [[v]], ncells + 1)
     _, raw = canon._initial_partition(colors)
     if _individualize(raw, v):
-        _refine_both(adj, raw, [[v]], len(cells) + 1)
+        lab, _, ends = _cells(raw)
+        parts = [lab[s:e] for s, e in zip([0] + ends, ends)]
+        _refine_both(adj, raw, parts, len(parts))
+
+
+def _root_packings():
+    """Fixtures, empty packings and seeded random growth, dimensions 1-4."""
+    rng = random.Random(27)
+    packings = [load_fixture(name) for name in sorted(fixtures())]
+    for space in (TORUS, CUBE):
+        for dim in range(1, 5):
+            packings.append(empty_packing(space, dim))
+            packings += [random_packing(rng, space, dim,
+                                        rng.randint(1, 2 ** dim))
+                         for _ in range(12)]
+    return packings
+
+
+def test_root_queues_every_colour_class_that_can_split():
+    # encode's colour partition is equitable with respect to every colour
+    # class the root refinement leaves unqueued: all vertices of one colour
+    # count as many neighbours in that class
+    for p in _root_packings():
+        graph = encode(p)
+        queued = (canon.TORUS_ROOT_SPLITTERS if p.space == TORUS
+                  else canon.CUBE_ROOT_SPLITTERS)
+        for c in set(graph.colors) - set(queued):
+            count = {}
+            for v, nbrs in enumerate(graph.adj):
+                k = sum(graph.colors[w] == c for w in nbrs)
+                assert count.setdefault(graph.colors[v], k) == k, (p, c)

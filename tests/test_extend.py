@@ -301,23 +301,38 @@ def test_max_nb_matches_the_dp_on_random_torus_packings():
 
 
 def test_max_nb_matches_oracle_on_positive_path_states(monkeypatch):
-    # every subset state the positive-path sweep asks about, dimension-6
+    # every subset state the positive-path sweep visits, dimension-6
     # Figure 3 packings included; the brute product is too big there, so
-    # the oracle is the coordinate DP, itself checked against it above
-    seen = {}
-    real = census.max_nb
+    # the oracle is the coordinate DP, itself checked against it above.
+    # Where the bracket closed (no max_nb call), its best must be max_nb.
+    seen, closed = {}, {}
+    walks = 0
+    real_step, real_max_nb = census._positive_cubes, census.max_nb
 
-    def record(p):
-        seen[p] = None
-        return real(p)
+    def counting_max_nb(p):
+        nonlocal walks
+        walks += 1
+        return real_max_nb(p)
 
-    monkeypatch.setattr(census, "max_nb", record)
+    def record(sub, cubes, bound=None):
+        before = walks
+        keys, best = real_step(sub, cubes, bound)
+        seen[sub] = None
+        if walks == before:
+            closed[sub] = best
+        return keys, best
+
+    monkeypatch.setattr(census, "max_nb", counting_max_nb)
+    monkeypatch.setattr(census, "_positive_cubes", record)
     for name in sorted(fixtures()):
         census.positive_path_exists(load_fixture(name))
     monkeypatch.undo()
     assert len(seen) > 1500
+    assert 0 < len(closed) < len(seen)
     for p in seen:
         _assert_max_nb_matches(p, dp_max_nb_classes(p))
+    for p, best in closed.items():
+        assert best == max_nb(p)
 
 
 def test_class_sizes_partition_all_addable_grid_positions():
