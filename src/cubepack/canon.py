@@ -6,15 +6,15 @@ renaming with literal swap on the torus, 0/1 reflection in the cube case).
 Canonical labeling is individualization-refinement with orbit pruning
 (McKay, "Practical graph isomorphism", 1981).  Refinement queues only the
 splitters that can split: at the root the colour classes encode does not
-prove equitable, and after a split every part but the last (_refine).  The
-search's automorphism generators are cached with the key.  They have two
-readers.  class_orbit_leaders maps a packing's extension classes through
-them, so a sweep builds one child per orbit of classes.  automorphism_order
-computes the group order from them on its first call for a packing, so a
-caller that only compares keys never pays for it, and then drops them.  The
-order comes from a sift-and-close stabilizer chain over those generators,
-which undercounts some groups (see _PermGroup); the orbit map computes no
-order and needs only that each generator is an automorphism.
+prove equitable, and after a split every part but the last (_refine).  A
+key holds the search's automorphism generators.  class_orbit_leaders maps
+a packing's extension classes through the generators its caller passes,
+so a sweep whose states carry their keys builds one child per orbit of
+classes.  group_order computes the group order from them on each call, so
+a caller that only compares keys never pays for it.  The order comes from
+a sift-and-close stabilizer chain, which undercounts some groups (see
+_PermGroup); the orbit map needs only that each generator is an
+automorphism.
 
 Leaves of the search are compared by a certificate: the relabelled edges as
 row-major slots a*nv+b (a < b), ascending and negated.  It orders leaves
@@ -24,7 +24,7 @@ are unchanged by the cheaper certificate.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -72,9 +72,15 @@ class ColoredGraph:
 
 @dataclass(frozen=True)
 class CanonicalKey:
-    """Byte certificate; equal keys mean equivalent packings."""
+    """Byte certificate; equal keys mean equivalent packings.
+
+    gens, outside comparison and hashing, are the search's automorphism
+    generators, a read-only array of one vertex permutation per row; None
+    on a key no search built (discrete.blocking_class_key).
+    """
 
     bytes: bytes
+    gens: np.ndarray = field(compare=False, repr=False)
 
     def hex(self):
         return self.bytes.hex()
@@ -447,7 +453,7 @@ class _PermGroup:
     A new residue is closed only against the entries at its level and below,
     so products with higher-level entries are missed and the order can come
     out too small: 32 for the rod fixture, whose group has order 48.  Every
-    pinned aut value is this algorithm's; the fix is ROADMAP item 0.
+    pinned aut value is this algorithm's; the fix is ROADMAP item 12.
     """
 
     def __init__(self, n):
@@ -494,19 +500,6 @@ def _graph_aut_order(gens):
     return group.order()
 
 
-@dataclass(slots=True)
-class _CanonResult:
-    """A cached canonical form: the key bytes and the search's generators.
-
-    The generators, one row per permutation, feed class_orbit_leaders and
-    give way to the automorphism order on the first automorphism_order call.
-    """
-
-    key: bytes
-    gens: np.ndarray
-    order: int = None
-
-
 @lru_cache(maxsize=8192)
 def _canon_result(p):
     if p.dim > CANON_MAX_DIM:
@@ -521,30 +514,32 @@ def _canon_result(p):
         counts[c] = counts.get(c, 0) + 1
     header = f"{p.space}|{p.dim}|" + ",".join(f"{c}:{counts[c]}" for c in sorted(counts)) + "|"
     nv = len(graph.colors)
-    # the smallest unsigned type that holds a vertex: the cache keeps them
+    # the smallest unsigned type that holds a vertex: caches and sweeps keep it
     gens = np.array(gens, dtype=np.min_scalar_type(nv - 1))
-    return _CanonResult(header.encode() + cert, gens.reshape(len(gens), nv))
+    gens = gens.reshape(len(gens), nv)
+    gens.flags.writeable = False
+    return CanonicalKey(header.encode() + cert, gens)
 
 
 def canonical_key(p):
     """Key invariant under the declared relabeling group, distinct otherwise."""
-    return CanonicalKey(_canon_result(p).key)
+    return _canon_result(p)
 
 
 def automorphism_order(p):
-    """Order of the packing's automorphism group.
+    """Order of the packing's automorphism group (see group_order)."""
+    return group_order(p, canonical_key(p))
 
-    Computed on the first call for p from the generators cached with its
-    canonical key, by _PermGroup's sift-and-close, which undercounts some
-    groups.  The graph group is quotiented by the boundary-pair swaps of
-    cube-space coordinates where neither 0 nor 1 occurs; those act
-    trivially on cubes.
+
+def group_order(p, key):
+    """Order of the automorphism group of p, whose canonical key is key.
+
+    Computed from key's generators by _PermGroup's sift-and-close, which
+    undercounts some groups.  The graph group is quotiented by the
+    boundary-pair swaps of cube-space coordinates where neither 0 nor 1
+    occurs; those act trivially on cubes.
     """
-    entry = _canon_result(p)
-    if entry.order is None:
-        entry.order = _graph_aut_order(entry.gens)
-        entry.gens = None
-    order = entry.order
+    order = _graph_aut_order(key.gens)
     if p.space == CUBE:
         for j in range(p.dim):
             if not any(cube[j] in (ZERO, ONE) for cube in p.cubes):
@@ -552,9 +547,9 @@ def automorphism_order(p):
     return order
 
 
-def class_orbit_leaders(p, classes):
+def class_orbit_leaders(p, classes, gens):
     """For each extension class of p, the index of the first class in its
-    orbit under the automorphism generators cached with p's canonical key.
+    orbit under gens, the automorphism generators of p's canonical key.
 
     A generator g moves coordinate j to g[m+j]-m and a candidate through
     its vertex: a torus literal through its literal vertex, a cube-space
@@ -562,14 +557,9 @@ def class_orbit_leaders(p, classes):
     a true automorphism of p, so classes sharing a leader give equivalent
     children even where the generators span only a subgroup (the orbits are
     then finer, never wrong).  classes must be closed under the action, as
-    every nb-filtered list of enumerate_extension_classes is.  Once
-    automorphism_order has dropped p's generators, every class leads its
-    own orbit.
+    every nb-filtered list of enumerate_extension_classes is.
     """
-    gens = _canon_result(p).gens
     leader = list(range(len(classes)))
-    if gens is None:
-        return leader
     m = p.m
     lay = _Layout(p)
     index = {c.coords: i for i, c in enumerate(classes)}

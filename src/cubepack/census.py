@@ -14,7 +14,8 @@ classes under its automorphisms and weight it by the orbit's class count:
 the classes of an orbit give equivalent children with equal shares.  The
 limit census lists the classes; the cube-space expansion takes orbits of
 its touched patterns and counts of untouched ZERO/ONE choices, and never
-lists the classes those groups stand for.
+lists the classes those groups stand for.  A state ends with the key it
+merges by, whose generators give its orbits (_form_key).
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from pathlib import Path
 
 from .canon import (
     CanonicalKey,
-    automorphism_order,
     canonical_key,
     class_orbit_leaders,
+    group_order,
 )
 from .extend import (
     FRESH,
@@ -153,13 +154,18 @@ def _merge(table, k, state, weight):
         entry[1] = entry[1] + weight
 
 
-def _census_key(p):
-    return canonical_key(p).bytes
+def _form_key(state):
+    """An exact sweep state's merge key: the bytes of its last item."""
+    return state[-1].bytes
 
 
-def _terminal_record(rep, prob, paths=None):
-    return CensusRecord(key=canonical_key(rep), rep=rep, prob=prob,
-                        aut=automorphism_order(rep), paths=paths)
+def _census_state(p):
+    return p, canonical_key(p)
+
+
+def _terminal_record(rep, key, prob, paths=None):
+    return CensusRecord(key=key, rep=rep, prob=prob, aut=group_order(rep, key),
+                        paths=paths)
 
 
 def torus_limit_census(
@@ -201,11 +207,12 @@ def torus_limit_census(
             f"dimension {n} census exceeds the default limit {limit}"
         )
 
-    def children(rep, weight):
+    def children(state, weight):
         # uniform over the classes of maximal nb, zero on the rest.  An
         # automorphism keeps nb, so the count classes of an orbit have one
         # share; one child from the leader, the orbit's first class, takes
         # count times it, and the children keep the classes' order
+        rep, form = state
         classes = (enumerate_extension_classes(rep) if include_zero_prob
                    else max_nb_classes(rep))
         if not classes:
@@ -213,10 +220,12 @@ def torus_limit_census(
         best = max(c.nb for c in classes)
         share = Fraction(1, sum(c.nb == best for c in classes))
         out = []
-        for i, count in Counter(class_orbit_leaders(rep, classes)).items():
+        for i, count in Counter(
+                class_orbit_leaders(rep, classes, form.gens)).items():
             c = classes[i]
             q = share * count if c.nb == best else Fraction(0)
-            out.append((add_cube(rep, class_representative(rep, c)),
+            child = add_cube(rep, class_representative(rep, c))
+            out.append((_census_state(child),
                         weight.step(c.nb, q) if track_paths else weight * q))
         return out
 
@@ -229,19 +238,19 @@ def torus_limit_census(
             checkpoint_path, n, include_zero_prob, track_paths
         )
     else:
-        p0 = empty_packing(TORUS, n)
+        s0 = _census_state(empty_packing(TORUS, n))
         w0 = (_Paths({(0,) * (n + 1): Fraction(1)}) if track_paths
               else Fraction(1))
-        start = (0, {_census_key(p0): [p0, w0]}, {})
+        start = (0, {_form_key(s0): [s0, w0]}, {})
     records = sweep(
-        start, _census_key, children,
+        start, _form_key, children,
         on_level=None if checkpoint_path is None else on_level,
         _level_order=_level_order,
     )
     out = [
-        _terminal_record(rep, weight.prob, tuple(sorted(weight.items())))
-        if track_paths else _terminal_record(rep, weight)
-        for rep, weight in records.values()
+        _terminal_record(rep, form, weight.prob, tuple(sorted(weight.items())))
+        if track_paths else _terminal_record(rep, form, weight)
+        for (rep, form), weight in records.values()
     ]
     out.sort(key=lambda r: (-r.prob, r.m, r.nparams, r.key.bytes))
     total = sum(r.prob for r in out)
@@ -252,7 +261,7 @@ def torus_limit_census(
 
 def _save_checkpoint(path, n, zero, tracked, level, frontier, records):
     def enc(entry):
-        rep, weight = entry
+        (rep, _), weight = entry
         if not tracked:
             return [to_json_obj(rep), str(weight), None]
         paths = [[list(h), str(w)] for h, w in sorted(weight.items())]
@@ -321,7 +330,8 @@ def _load_checkpoint(path, n, zero, tracked):
             if not ok:
                 raise ValueError(f"checkpoint {path}: {field} entry {i} is "
                                  f"not a state of this census")
-            table[_census_key(rep)] = [rep, weight]
+            state = _census_state(rep)
+            table[_form_key(state)] = [state, weight]
         return table
 
     frontier, records = dec("frontier"), dec("records")
@@ -425,25 +435,22 @@ def positive_path_exists(p, allow_large=False):
     return full in sweep(start, lambda state: state[0], children)
 
 
-def _touched_part(p):
-    """A cube-space sweep state on its touched coordinates, and those.
-
-    A coordinate is touched when some cube holds ZERO or ONE there.  The
-    part keeps the cubes in order, each interior parameter renumbered by
-    its first occurrence, so equal parts are one cache entry.
+def _expansion_state(p):
+    """A cube-space sweep state (p, part, cols, form): part is p on its
+    touched coordinates cols, those where some cube holds ZERO or ONE, and
+    form is part's canonical key.  part keeps the cubes in order, each
+    interior parameter renumbered by its first occurrence, so equal parts
+    are one cache entry.
     """
     cols = [j for j in range(p.dim) if any(cube[j] < 0 for cube in p.cubes)]
     params = {}
-    return make_packing(CUBE, len(cols), [
+    part = make_packing(CUBE, len(cols), [
         tuple(cube[j] if cube[j] < 0
               else literal(params.setdefault(cube[j], len(params)))
               for j in cols)
         for cube in p.cubes
-    ]), cols
-
-
-def _expansion_key(p):
-    return canonical_key(_touched_part(p)[0]).bytes
+    ])
+    return p, part, cols, canonical_key(part)
 
 
 # Per-coordinate rank of a cube-space candidate in walk order: the walk
@@ -451,7 +458,7 @@ def _expansion_key(p):
 _WALK_RANK = {ZERO: 0, ONE: 1, FRESH: 2}
 
 
-def _expansion_groups(rep, budget):
+def _expansion_groups(state, budget):
     """The kept extension classes of a cube-space sweep state, one group
     per orbit (see cube_expansion).
 
@@ -461,13 +468,13 @@ def _expansion_groups(rep, budget):
     classes.  The groups are sorted by first in walk order; the list is
     empty when rep is non-extensible.
     """
-    part, cols = _touched_part(rep)
+    rep, part, cols, form = state
     touched = enumerate_extension_classes(part)
     if not touched:
         return []
     tmax = max(t.nb for t in touched)
     kept = [t for t in touched if tmax - t.nb <= budget]
-    leaders = class_orbit_leaders(part, kept)
+    leaders = class_orbit_leaders(part, kept, form.gens)
     size = Counter(leaders)
     free = [k for k in range(rep.dim) if k not in cols]
     u = len(free)
@@ -502,7 +509,7 @@ def cube_expansion(n, order, allow_large=False, return_records=False):
     check certifies.
 
     States merge by the canonical key of their touched part
-    (_touched_part), a complete invariant for a fixed n.  In cube space
+    (_expansion_state), a complete invariant for a fixed n.  In cube space
     only the ZERO/ONE pair blocks, and a class never reuses a parameter:
     FRESH gives the new cube a parameter of its own.  So on a coordinate
     without ZERO or ONE every cube holds a private interior parameter.
@@ -562,30 +569,32 @@ def cube_expansion(n, order, allow_large=False, return_records=False):
         raise ResourceGuardError(f"expansion in dimension {n} exceeds the "
                                  f"default limit 10")
 
-    def children(rep, prob):
-        groups = _expansion_groups(rep, order - prob.valuation)
+    def children(state, prob):
+        groups = _expansion_groups(state, order - prob.valuation)
         if not groups:
             return []
         den = [0] * (order + 1)
         for _, shift, count in groups:
             den[shift] += count
         step = prob * Series(den, order).inverse()
-        return [(add_cube(rep, class_representative(rep, first)),
+        rep = state[0]
+        return [(_expansion_state(
+                    add_cube(rep, class_representative(rep, first))),
                  step.shift(shift) * count)
                 for first, shift, count in groups]
 
     zero = Series((0,) * (order + 1), order)
     one = Series((1,) + (0,) * order, order)
-    p0 = empty_packing(CUBE, n)
-    start = (0, {_expansion_key(p0): [p0, one]}, {})
-    records = sweep(start, _expansion_key, children)
+    s0 = _expansion_state(empty_packing(CUBE, n))
+    records = sweep((0, {_form_key(s0): [s0, one]}, {}), _form_key, children)
     total = sum((prob for _, prob in records.values()), zero)
     if total != one:
         raise AssertionError("expansion mass is not 1")
-    series = sum((prob * rep.m for rep, prob in records.values()), zero)
+    series = sum((prob * state[0].m for state, prob in records.values()), zero)
     if not return_records:
         return series
-    out = [_terminal_record(rep, prob) for rep, prob in records.values()]
+    out = [_terminal_record(rep, canonical_key(rep), prob)
+           for (rep, *_), prob in records.values()]
     out.sort(key=lambda r: (r.prob.valuation, r.m, r.key.bytes))
     return series, out
 

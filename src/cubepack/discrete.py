@@ -137,8 +137,7 @@ def blocking_class_key(anchors, n, N, space):
     data = bytes(counts[order[i]][order[j]]
                  for i in range(m) for j in range(i))
     return CanonicalKey(
-        bytes=f"finite|{space}|{n}|{N}|{m}|".encode() + data.hex().encode()
-    )
+        f"finite|{space}|{n}|{N}|{m}|".encode() + data.hex().encode(), None)
 
 
 def _check_grid(n, N):

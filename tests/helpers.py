@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from cubepack.canon import class_orbit_leaders
-from cubepack.census import _touched_part, interpolate_Ck
+from cubepack.canon import canonical_key, class_orbit_leaders
+from cubepack.census import _expansion_state, interpolate_Ck
 from cubepack.constructions import ROD_VECTORS, ConstructionError
 from cubepack.discrete import grid_overlaps
 from cubepack.extend import (
@@ -585,11 +585,11 @@ def expansion_leaders(rep, classes):
     class in its orbit: classes share an orbit when their touched patterns
     share a class_orbit_leaders leader on the touched part and their nb
     agree.  The rule cube_expansion used while it listed every class."""
-    part, cols = _touched_part(rep)
+    _, part, cols, form = _expansion_state(rep)
     touched = [tuple(c.coords[j] for j in cols) for c in classes]
     patterns = {t: ExtensionClass(t, t.count(FRESH)) for t in touched}
-    lead = dict(zip(patterns,
-                    class_orbit_leaders(part, list(patterns.values()))))
+    lead = dict(zip(patterns, class_orbit_leaders(
+        part, list(patterns.values()), form.gens)))
     first = {}
     return [first.setdefault((lead[t], c.nb), i)
             for i, (t, c) in enumerate(zip(touched, classes))]
@@ -634,7 +634,7 @@ def reference_limit_children(rep, weight, include_zero_prob=False,
         return []
     best = max(c.nb for c in classes)
     share = Fraction(1, sum(c.nb == best for c in classes))
-    leaders = class_orbit_leaders(rep, classes)
+    leaders = class_orbit_leaders(rep, classes, canonical_key(rep).gens)
     kids = []
     for i, c in enumerate(classes):
         kids.append(add_cube(rep, class_representative(rep, c))

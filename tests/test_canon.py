@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from cubepack import canon
 from cubepack.canon import (
     CANON_MAX_DIM,
+    CanonicalKey,
     ColoredGraph,
     _Canonicalizer,
     _PermGroup,
@@ -103,6 +104,36 @@ def test_key_matches_brute_force_equivalence():
             for q in pool:
                 same = canonical_key(p) == canonical_key(q)
                 assert same == brute_equivalent(p, q)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    space=st.sampled_from((TORUS, CUBE)),
+    dim=st.integers(1, 3),
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_key_decides_equivalence_under_random_relabelings(space, dim, m,
+                                                          seed):
+    # a relabelled copy is equivalent and shares the key; a relabelled
+    # second packing shares it exactly when brute force finds it equivalent
+    rng = random.Random(seed)
+    p = random_packing(rng, space, dim, m)
+    q = _relabel(rng, p)
+    assert brute_equivalent(p, q) and canonical_key(q) == canonical_key(p)
+    r = _relabel(rng, random_packing(rng, space, dim, m))
+    assert (canonical_key(r) == canonical_key(p)) == brute_equivalent(p, r)
+
+
+def test_key_generators_are_read_only_and_not_compared():
+    p = load_fixture("rod")
+    key = canonical_key(p)
+    searched = canon._canon_result.__wrapped__(p)
+    assert searched is not key and len(key.gens) > 0
+    assert searched == key and hash(searched) == hash(key)
+    assert CanonicalKey(key.bytes, None) == key
+    with pytest.raises(ValueError):
+        key.gens[0, 0] = 0
 
 
 def test_insertion_order_does_not_change_key():
@@ -202,9 +233,10 @@ def test_automorphism_order_is_computed_lazily(monkeypatch):
     assert orders == []
     records = torus_limit_census(3)
     assert len(orders) == len(records)
+    # no order is kept: each call computes it again from the generators
     for r in records:
         assert automorphism_order(r.rep) == r.aut
-    assert len(orders) == len(records)
+    assert len(orders) == 2 * len(records)
 
 
 def test_automorphism_order_reuses_the_cached_search(monkeypatch):
@@ -231,7 +263,8 @@ def test_class_orbit_leaders_follow_the_cached_generators():
     classes = enumerate_extension_classes(square)
     assert [c.coords for c in classes[:3]] == [(ZERO, ZERO), (ZERO, ONE),
                                                (ZERO, FRESH)]
-    assert class_orbit_leaders(square, classes) == [0, 0, 2, 0, 0, 2, 2, 2, 8]
+    assert class_orbit_leaders(square, classes, canonical_key(square).gens) \
+        == [0, 0, 2, 0, 0, 2, 2, 2, 8]
     # one torus cube (t0, t1): the swap of coordinates and parameters pairs
     # (t0, t1+1) with (t0+1, t1) and (t0+1, *) with (*, t1+1)
     cube = make_packing(TORUS, 2, [(T(0), T(1))])
@@ -239,23 +272,16 @@ def test_class_orbit_leaders_follow_the_cached_generators():
     assert [c.coords for c in classes] == [
         (T(0), T(1, 1)), (T(0, 1), T(1)), (T(0, 1), T(1, 1)),
         (T(0, 1), FRESH), (FRESH, T(1, 1))]
-    assert class_orbit_leaders(cube, classes) == [0, 0, 2, 3, 3]
-
-
-def test_class_orbit_leaders_without_generators_is_the_identity():
-    canon._canon_result.cache_clear()
-    square = empty_packing(CUBE, 2)
-    classes = enumerate_extension_classes(square)
-    automorphism_order(square)
-    assert canon._canon_result(square).gens is None
-    assert class_orbit_leaders(square, classes) == list(range(9))
+    assert class_orbit_leaders(cube, classes, canonical_key(cube).gens) \
+        == [0, 0, 2, 3, 3]
 
 
 def test_class_orbit_leaders_need_a_closed_class_list():
     canon._canon_result.cache_clear()
     square = empty_packing(CUBE, 2)
     with pytest.raises(AssertionError):
-        class_orbit_leaders(square, enumerate_extension_classes(square)[:1])
+        class_orbit_leaders(square, enumerate_extension_classes(square)[:1],
+                            canonical_key(square).gens)
 
 
 def _search_generators(p):

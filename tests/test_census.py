@@ -17,7 +17,7 @@ from helpers import (
 )
 
 from cubepack import canon, census, extend
-from cubepack.canon import canonical_key
+from cubepack.canon import automorphism_order, canonical_key
 from cubepack.census import (
     ResourceGuardError,
     cube_expansion,
@@ -403,8 +403,8 @@ def _swept_parents(monkeypatch, run):
     seen = []
     split = census.class_orbit_leaders
 
-    def spy(rep, classes):
-        leaders = split(rep, classes)
+    def spy(rep, classes, gens):
+        leaders = split(rep, classes, gens)
         seen.append((rep, classes, leaders))
         return leaders
 
@@ -421,9 +421,9 @@ def _expansion_steps(monkeypatch, run):
     seen = []
     build = census._expansion_groups
 
-    def spy(rep, budget):
-        groups = build(rep, budget)
-        seen.append((rep, budget, groups))
+    def spy(state, budget):
+        groups = build(state, budget)
+        seen.append((state[0], budget, groups))
         return groups
 
     monkeypatch.setattr(census, "_expansion_groups", spy)
@@ -494,7 +494,7 @@ def test_touched_part_key_is_complete_in_the_expansion(monkeypatch):
                 for first, _, _ in groups]
         reps, touched = {}, {}
         for kid in dict.fromkeys(kids):
-            t, full = census._expansion_key(kid), canonical_key(kid)
+            t, full = _touched_key(kid), canonical_key(kid)
             rep, rep_full = reps.setdefault(t, (kid, full))
             assert rep_full == full and touched.setdefault(full, t) == t
             if kid.m <= 6 and n <= 3 and kid != rep:
@@ -510,14 +510,15 @@ def test_touched_part_key_is_complete_in_the_expansion(monkeypatch):
 
 
 def _swept_steps(monkeypatch, run):
-    """The (state, weight, children) of every step of run's sweep."""
+    """The (packing, weight, children) of every step of run's sweep, each
+    child a (packing, weight) pair."""
     seen = []
     engine = census.sweep
 
     def spy(start, key, children, **kwargs):
-        def record(rep, weight):
-            out = children(rep, weight)
-            seen.append((rep, weight, out))
+        def record(state, weight):
+            out = children(state, weight)
+            seen.append((state[0], weight, [(s[0], w) for s, w in out]))
             return out
         return engine(start, key, record, **kwargs)
 
@@ -527,7 +528,15 @@ def _swept_steps(monkeypatch, run):
     return seen
 
 
-def _merged(steps, key=census._expansion_key):
+def _touched_key(p):
+    return census._expansion_state(p)[-1].bytes
+
+
+def _limit_key(p):
+    return canonical_key(p).bytes
+
+
+def _merged(steps, key=_touched_key):
     """key -> [first child's cubes, summed weight], in arrival order."""
     out = {}
     for child, w in steps:
@@ -565,11 +574,64 @@ def test_orbit_step_matches_the_class_by_class_limit_step(monkeypatch, n,
     for rep, weight, kids in steps:
         ref = reference_limit_children(rep, weight, **mode)
         orbits, classes = orbits + len(kids), classes + len(ref)
-        assert _merged(kids, census._census_key) == _merged(
-            ref, census._census_key)
+        assert _merged(kids, _limit_key) == _merged(ref, _limit_key)
     # some orbit holds two classes: 4 children for 6 classes at n = 2, 37
     # for 67 at n = 3, and 10 for 15 and 799 for 1,181 with zero classes
     assert orbits < classes
+
+
+def _canonical_searches(monkeypatch, run, clear_every_step):
+    """The canonical searches run makes from a cold cache, with the cache
+    cleared before every sweep step when clear_every_step."""
+    searches = 0
+    search = canon._Canonicalizer.run
+
+    def counting(self):
+        nonlocal searches
+        searches += 1
+        return search(self)
+
+    monkeypatch.setattr(canon._Canonicalizer, "run", counting)
+    if clear_every_step:
+        engine = census.sweep
+
+        def spy(start, key, children, **kwargs):
+            def cleared(state, weight):
+                canon._canon_result.cache_clear()
+                return children(state, weight)
+            return engine(start, key, cleared, **kwargs)
+
+        monkeypatch.setattr(census, "sweep", spy)
+    canon._canon_result.cache_clear()
+    run()
+    monkeypatch.undo()
+    return searches
+
+
+@pytest.mark.parametrize("run, searches", [
+    (lambda: torus_limit_census(3), 38),
+    (lambda: cube_expansion(3, 4), 52),
+], ids=["census3", "expansion3"])
+def test_cache_evictions_add_no_canonical_searches(monkeypatch, run,
+                                                   searches):
+    # a state carries the key and generators it was built with, so no step
+    # and no terminal record searches again when the cache has lost them
+    assert _canonical_searches(monkeypatch, run, False) == searches
+    assert _canonical_searches(monkeypatch, run, True) == searches
+
+
+def test_asking_for_orders_leaves_the_orbit_children_alone(monkeypatch):
+    # orders asked for every non-terminal state of a census change nothing
+    # in the orbits of the next census over the same cache
+    canon._canon_result.cache_clear()
+    steps = _swept_steps(monkeypatch, lambda: torus_limit_census(3))
+    cold = [len(kids) for _, _, kids in steps]
+    for rep, _, kids in steps:
+        if kids:
+            automorphism_order(rep)
+    again = _swept_steps(monkeypatch, lambda: torus_limit_census(3))
+    assert [len(kids) for _, _, kids in again] == cold
+    assert sum(cold) == 37
 
 
 def test_cube_expansion_canonical_form_count_is_pinned(monkeypatch):
@@ -593,14 +655,15 @@ def test_cube_expansion_canonical_form_count_is_pinned(monkeypatch):
 
 
 def test_cube_expansion_key_count_is_pinned(monkeypatch):
-    # the sweep keys each emitted child, one per orbit group of a step:
-    # 364 keys here, where keying every class's child took 1,921
-    calls = {"_expansion_key": 0}
-    monkeypatch.setattr(census, "_expansion_key", _counting(
-        calls, "_expansion_key", census._expansion_key))
+    # each emitted child, one per orbit group of a step, is keyed once as
+    # its state is built: 364 keys here, where keying every class's child
+    # took 1,921
+    calls = {"_expansion_state": 0}
+    monkeypatch.setattr(census, "_expansion_state", _counting(
+        calls, "_expansion_state", census._expansion_state))
     for n in range(1, 7):
         cube_expansion(n, 4)
-    assert calls["_expansion_key"] == 364
+    assert calls["_expansion_state"] == 364
 
 
 def test_cube_expansion_at_large_dimensions_matches_the_fit():

@@ -11,8 +11,10 @@ from helpers import (
     grid_blocked,
     normalize_params,
     pairwise_phi_grid,
+    random_packing,
 )
 
+from cubepack import canon
 from cubepack.census import cube_expansion, torus_limit_census
 from cubepack.constructions import (
     fixtures,
@@ -32,6 +34,7 @@ from cubepack.model import (
     coordinate_params,
     dumps,
     empty_packing,
+    from_json_obj,
     is_tiling,
     literal,
     load_file,
@@ -43,6 +46,7 @@ from cubepack.model import (
     phi_grid,
     save_file,
     shift_of,
+    to_json_obj,
     validate,
 )
 
@@ -238,6 +242,24 @@ def test_json_round_trip():
     assert loads(dumps(p)) == p
     q = make_packing(TORUS, 2, [(T(0), T(1)), (T(0, 1), T(2))])
     assert loads(dumps(q, indent=2)) == q
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    space=st.sampled_from((TORUS, CUBE)),
+    dim=st.integers(1, 4),
+    steps=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_json_round_trips_keep_the_packing_and_its_key(space, dim, steps,
+                                                       seed):
+    p = random_packing(random.Random(seed), space, dim, steps)
+    assert validate(p) is None
+    search = canon._canon_result.__wrapped__
+    key = search(p)
+    for q in (loads(dumps(p)), from_json_obj(to_json_obj(p))):
+        assert q == p
+        assert search(q) == key
 
 
 def test_json_file_round_trip(tmp_path):
