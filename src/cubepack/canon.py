@@ -500,6 +500,7 @@ def _graph_aut_order(gens):
     return group.order()
 
 
+# Hit only by calls across censuses: sweep states carry their keys (0 hits).
 @lru_cache(maxsize=8192)
 def _canon_result(p):
     if p.dim > CANON_MAX_DIM:

@@ -13,8 +13,9 @@ sweep engine it shares with the limit census and the cube expansion
 kernels in backend, and both use the symmetry group: a canonical form
 sorts only the group rows that send one of the state's anchors to the
 smallest orbit minimum among them, and the minimal-maximal-packing search
-tries one root candidate per orbit of the symmetries fixing position 0
-until one succeeds.
+skips every candidate in the orbit of a failed one, at its first two
+levels.  The group's rows come from one array broadcast per coordinate
+permutation.
 """
 
 from __future__ import annotations
@@ -63,6 +64,25 @@ def _ball_masks(positions, N, space):
     return masks
 
 
+def _grid_maps(n, size, percoord, perms):
+    """Position-index rows of the maps x -> (s*x + t) mod size, with (s, t)
+    drawn from percoord in every coordinate, after each coordinate
+    permutation in perms.
+
+    Each permutation's rows for all (s, t) combinations come from one
+    broadcast, in the order of the combinations, permutation after
+    permutation; it runs in int16 whenever that holds every position index.
+    """
+    dtype = np.int16 if size ** n <= 1 << 15 else np.int64
+    positions = np.array(list(iproduct(range(size), repeat=n)), dtype)
+    weights = size ** np.arange(n - 1, -1, -1, dtype=dtype)
+    combos = list(iproduct(percoord, repeat=n))
+    combos = np.array(combos, dtype).reshape(len(combos), 1, n, 2)
+    signs, shifts = combos[..., 0], combos[..., 1]
+    return np.concatenate([(signs * positions[:, list(sigma)] + shifts)
+                           % size @ weights for sigma in perms])
+
+
 def symmetry_group(n, N, space):
     """All grid symmetries as position-index permutation rows.
 
@@ -70,21 +90,13 @@ def symmetry_group(n, N, space):
     coordinate permutation.  Torus: any sign s and translation t.  Cube
     space: the identity and the reflection (s, t) = (-1, N).
     """
-    positions = np.array(grid_positions(n, N, space), dtype=np.int64)
     size = len(_axis(N, space))
-    weights = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
     if space == TORUS:
         percoord = [(s, t) for s in (1, -1) for t in range(size)]
     else:
         percoord = [(1, 0), (-1, N)]
-    combos = [np.array(c, dtype=np.int64).reshape(n, 2)
-              for c in iproduct(percoord, repeat=n)]
-    rows = []
-    for sigma in permutations(range(n)):
-        perm = positions[:, sigma]
-        for c in combos:
-            rows.append((c[:, 0] * perm + c[:, 1]) % size @ weights)
-    return np.unique(np.array(rows, dtype=np.int64), axis=0)
+    rows = _grid_maps(n, size, percoord, permutations(range(n)))
+    return np.unique(rows, axis=0).astype(np.int64)
 
 
 def blocking_counts(anchors, N, space):
@@ -215,13 +227,17 @@ def min_maximal_packing(n, N, allow_large=False):
     a completion, so every size below the answer is exhausted, the returned
     size is a proof, and the witness is re-verified directly.
 
-    The search also skips a root candidate once another in its orbit under
-    the stabilizer of position 0 has failed.  That stabilizer is the signed
-    coordinate permutations x -> s*x, so the orbit of p is named by the
-    sorted values min(x, 2N - x).  A symmetry g fixing 0 maps the maximal
-    packings containing 0 and v onto those containing 0 and g(v), so a
+    The search also skips a candidate once another in its orbit under the
+    setwise stabilizer of the chosen cubes has failed, at depths 1 and 2.
+    The stabilizer of position 0 is the signed coordinate permutations
+    x -> s*x; that of {0, v} is K ∪ r_v∘K, with K the rows fixing v and
+    r_v: x -> v - x.  A symmetry g keeping the chosen set maps the maximal
+    packings containing it and w onto those containing it and g(w), so a
     skipped candidate would have failed as well, and the size and the
-    witness are those of the search without the cut.
+    witness are those of the search without the cut.  Deeper levels would
+    need the symmetries moving 0 onto every chosen cube; at n = 4 a cut at
+    depth 3 gains 5 ms for them and deeper cuts lose time (backend's
+    comment on the search has the measurements).
 
     Returns:
         (size, witness) with witness a list of anchor tuples.
@@ -234,9 +250,9 @@ def min_maximal_packing(n, N, allow_large=False):
         raise ResourceGuardError(f"cover search over {npos} positions")
     positions = grid_positions(n, N, TORUS)
     balls = _ball_masks(positions, N, TORUS)
-    labels = _root_orbit_labels(positions, N)
+    fixers, flips = _search_symmetries(n, N)
     for limit in range(1, 2 ** n + 1):
-        found = backend.search_min_maximal(balls, npos, limit, labels)
+        found = backend.search_min_maximal(balls, npos, limit, fixers, flips)
         if found is None:
             continue
         witness = [positions[i] for i in found]
@@ -245,10 +261,16 @@ def min_maximal_packing(n, N, allow_large=False):
     raise AssertionError("no maximal packing found below the grid size")
 
 
-def _root_orbit_labels(positions, N):
-    """Per torus position, a name of its orbit under the symmetries that
-    fix position 0: the sorted per-coordinate values min(x, 2N - x)."""
-    return [tuple(sorted(min(x, 2 * N - x) for x in p)) for p in positions]
+def _search_symmetries(n, N):
+    """The cover search's symmetry input on the torus grid: the signed
+    coordinate permutations x -> s*x, which are the symmetries fixing
+    position 0, and per position v the flip x -> v - x, as rows in the
+    smallest unsigned dtype that holds a position index."""
+    size = 2 * N
+    dtype = np.min_scalar_type(size ** n - 1)
+    fixers = _grid_maps(n, size, [(1, 0), (-1, 0)], permutations(range(n)))
+    flips = _grid_maps(n, size, [(-1, t) for t in range(size)], [range(n)])
+    return fixers.astype(dtype), flips.astype(dtype)
 
 
 def _check_maximal(witness, found, balls, npos, n, N):

@@ -7,17 +7,22 @@ recurrence and the closed-form expansion at the end are cross-checks
 instead: the recurrence reads max_nb_classes at n = 4, and the closed form
 is fitted through interpolate_Ck.  reference_expansion_children and
 reference_limit_children are former step rules of cube_expansion and
-torus_limit_census, kept as the oracles of the current ones.
+torus_limit_census, kept as the oracles of the current ones, and so are
+reference_symmetry_group and root_orbit_labels, the former per-combination
+loop of discrete.symmetry_group and the former orbit names of the cover
+search's root cut.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
+
 from cubepack.canon import canonical_key, class_orbit_leaders
 from cubepack.census import _expansion_state, interpolate_Ck
 from cubepack.constructions import ROD_VECTORS, ConstructionError
-from cubepack.discrete import grid_overlaps
+from cubepack.discrete import _axis, grid_overlaps, grid_positions
 from cubepack.extend import (
     FRESH,
     ExtensionClass,
@@ -552,6 +557,36 @@ def reference_search_min_maximal(balls, npos, limit):
 
     rec(balls[0], 1)
     return found
+
+
+def reference_symmetry_group(n, N, space):
+    """All grid symmetries as position-index permutation rows.
+
+    Each maps x to (s*x + t) mod |axis| in every coordinate after a
+    coordinate permutation.  Torus: any sign s and translation t.  Cube
+    space: the identity and the reflection (s, t) = (-1, N).
+    """
+    positions = np.array(grid_positions(n, N, space), dtype=np.int64)
+    size = len(_axis(N, space))
+    weights = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    if space == TORUS:
+        percoord = [(s, t) for s in (1, -1) for t in range(size)]
+    else:
+        percoord = [(1, 0), (-1, N)]
+    combos = [np.array(c, dtype=np.int64).reshape(n, 2)
+              for c in product(percoord, repeat=n)]
+    rows = []
+    for sigma in permutations(range(n)):
+        perm = positions[:, sigma]
+        for c in combos:
+            rows.append((c[:, 0] * perm + c[:, 1]) % size @ weights)
+    return np.unique(np.array(rows, dtype=np.int64), axis=0)
+
+
+def root_orbit_labels(positions, N):
+    """Per torus position, a name of its orbit under the symmetries that
+    fix position 0: the sorted per-coordinate values min(x, 2N - x)."""
+    return [tuple(sorted(min(x, 2 * N - x) for x in p)) for p in positions]
 
 
 def reference_canonical_state(group, positions):

@@ -1,10 +1,12 @@
 from functools import cache
 
+import numpy as np
 import pytest
 from helpers import (
     brute_min_maximal,
     reference_canonical_state,
     reference_search_min_maximal,
+    root_orbit_labels,
 )
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from cubepack import backend
 from cubepack.discrete import (
     _ball_masks,
-    _root_orbit_labels,
+    _search_symmetries,
     grid_overlaps,
     grid_positions,
     min_maximal_packing,
@@ -78,49 +80,112 @@ def test_search_parity_small_grids():
         assert _is_maximal_packing(witness, n)
 
 
+def _ball_matrix(balls):
+    npos = len(balls)
+    return np.array([[ball >> q & 1 for q in range(npos)] for ball in balls],
+                    dtype=bool)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_search_symmetries_keep_the_balls_and_the_chosen_pairs(n):
+    # every row fixes 0 and maps each ball onto the ball of the image
+    # position, every flip swaps 0 and v, and so for every v the rows K
+    # fixing v and the flips r_v∘K map {0, v} onto itself
+    positions = grid_positions(n, 2, TORUS)
+    overlap = _ball_matrix(_ball_masks(positions, 2, TORUS))
+    fixers, flips = _search_symmetries(n, 2)
+    assert fixers.dtype == flips.dtype == np.uint8
+    assert (fixers[:, 0] == 0).all()
+    for g in np.concatenate([fixers, flips]).astype(np.intp):
+        assert (overlap[np.ix_(g, g)] == overlap).all()
+    for v in range(len(positions)):
+        assert flips[v, 0] == v and flips[v, v] == 0
+        keep = fixers[fixers[:, v] == v]
+        pairs = np.concatenate([keep, flips[v][keep]])[:, [0, v]]
+        assert (np.sort(pairs, axis=1) == sorted((0, v))).all()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_root_orbit_labels_are_the_stabilizer_orbits(n):
-    # equal labels exactly on the orbits of the symmetries fixing 0; a
-    # coarser labelling would let the root cut skip a candidate that
-    # nothing proves fails
+    # the depth-1 labels name the orbits of the symmetries fixing 0, which
+    # the sorted values min(x, 2N - x) also name, and the depth-2 labels
+    # name the orbits of the whole group's setwise stabilizer of {0, v}; a
+    # coarser labelling would let the cut skip a candidate that nothing
+    # proves fails
     positions = grid_positions(n, 2, TORUS)
-    labels = _root_orbit_labels(positions, 2)
-    stabilizer = [g for g in symmetry_group(n, 2, TORUS).tolist()
-                  if g[0] == 0]
+    fixers, flips = _search_symmetries(n, 2)
+    oracle = root_orbit_labels(positions, 2)
+    labels = backend._orbit_labels(fixers, flips, [0])
     for p in range(len(positions)):
-        orbit = {g[p] for g in stabilizer}
-        assert orbit == {q for q in range(len(positions))
-                         if labels[q] == labels[p]}, positions[p]
+        assert ({q for q in range(len(positions)) if labels[q] == labels[p]}
+                == {q for q in range(len(positions))
+                    if oracle[q] == oracle[p]}), positions[p]
+    group = symmetry_group(n, 2, TORUS)
+    for v in range(1, len(positions)):
+        pairs = np.sort(group[:, [0, v]], axis=1)
+        stabilizer = group[(pairs == (0, v)).all(axis=1)]
+        assert (backend._orbit_labels(fixers, flips, [0, v])
+                == stabilizer.min(axis=0).tolist()), positions[v]
 
 
-def _check_root_cut(balls, labels, answer):
-    # the cut skips only failing root candidates, so the search returns the
-    # same list with the orbit labels as with one label per position, at
-    # every limit up to the answer
+def _uncut(npos):
+    # the identity as the only row and as every flip: every orbit is a
+    # single position, so the search cuts nothing
+    ident = np.arange(npos)
+    return ident[None], np.tile(ident, (npos, 1))
+
+
+def _check_orbit_cut(balls, fixers, flips, answer):
+    # the cut skips only failing candidates, so the search returns the same
+    # list with the symmetries as with the identity alone, at every limit
+    # up to the answer
     npos = len(balls)
     for limit in range(1, answer + 1):
-        cut = backend.search_min_maximal(balls, npos, limit, labels)
+        cut = backend.search_min_maximal(balls, npos, limit, fixers, flips)
         assert cut == backend.search_min_maximal(balls, npos, limit,
-                                                 range(npos)), limit
+                                                 *_uncut(npos)), limit
         assert (cut is not None) == (limit == answer), limit
 
 
 @pytest.mark.parametrize("n, answer", [(1, 2), (2, 4), (3, 4), (4, 8)])
 def test_root_orbit_cut_returns_the_uncut_result(n, answer):
     positions = grid_positions(n, 2, TORUS)
-    _check_root_cut(_ball_masks(positions, 2, TORUS),
-                    _root_orbit_labels(positions, 2), answer)
+    _check_orbit_cut(_ball_masks(positions, 2, TORUS),
+                     *_search_symmetries(n, 2), answer)
 
 
 @pytest.mark.parametrize("n", range(5, 17))
 def test_root_orbit_cut_on_cycles(n):
     # on the cycle C_n, whose balls are a vertex and its two neighbours,
-    # the reflection x -> -x fixes 0, so min(x, n - x) names orbits; the
+    # the reflection x -> -x fixes 0 and x -> v - x swaps 0 and v; the
     # smallest maximal set has ceil(n / 3) vertices.  Unlike the half-step
-    # grids, cycles tell the root cut from a cut made at every depth: C_13
-    # returns another list under the latter
+    # grids, cycles tell a sound cut from an unsound one: cutting by the
+    # orbits of the symmetries fixing 0 at every depth returns another list
+    # on C_13, while the setwise stabilizers at depths 1 and 2 must not
     balls = [1 << x | 1 << (x + 1) % n | 1 << (x - 1) % n for x in range(n)]
-    _check_root_cut(balls, [min(x, n - x) for x in range(n)], -(-n // 3))
+    x = np.arange(n)
+    fixers = np.array([x, -x % n], dtype=np.uint8)
+    flips = np.array([(v - x) % n for v in range(n)], dtype=np.uint8)
+    _check_orbit_cut(balls, fixers, flips, -(-n // 3))
+
+
+def test_orbit_cut_stops_at_depth_two(monkeypatch):
+    # labels are asked for at the root and below one further cube only;
+    # deeper nodes would need the stabilizer of three or more cubes, which
+    # _orbit_labels does not compute
+    sizes = []
+
+    def spy(fixers, flips, chosen):
+        sizes.append(len(chosen))
+        return orbit_labels(fixers, flips, chosen)
+
+    orbit_labels = backend._orbit_labels
+    monkeypatch.setattr(backend, "_orbit_labels", spy)
+    positions = grid_positions(4, 2, TORUS)
+    assert backend.search_min_maximal(
+        _ball_masks(positions, 2, TORUS), len(positions), 7,
+        *_search_symmetries(4, 2)) is None
+    assert set(sizes) == {1, 2}
 
 
 @pytest.mark.parametrize("n, top", [(1, 2), (2, 4), (3, 8), (4, 6)])
@@ -129,10 +194,10 @@ def test_search_matches_unpruned_reference(n, top):
     # unpruned one does; n = 4 stops below its answer 8 to stay quick
     positions = grid_positions(n, 2, TORUS)
     balls = _ball_masks(positions, 2, TORUS)
-    labels = _root_orbit_labels(positions, 2)
+    fixers, flips = _search_symmetries(n, 2)
     for limit in range(1, top + 1):
         found = backend.search_min_maximal(balls, len(positions), limit,
-                                           labels)
+                                           fixers, flips)
         ref = reference_search_min_maximal(balls, len(positions), limit)
         assert (found is None) == (ref is None), limit
         for chosen in (found, ref):

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from helpers import reference_symmetry_group
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -86,6 +87,24 @@ def test_symmetry_group_preserves_overlaps(space, n, N):
             image = sum(1 << g[j] for j in range(len(positions))
                         if ball >> j & 1)
             assert image == balls[g[i]]
+
+
+@pytest.mark.parametrize("space", [TORUS, CUBE])
+@pytest.mark.parametrize("n, N", [(0, 2), (1, 2), (2, 2), (3, 2), (2, 3),
+                                  (3, 3)])
+def test_symmetry_group_matches_the_per_combination_loop(space, n, N):
+    group = symmetry_group(n, N, space)
+    ref = reference_symmetry_group(n, N, space)
+    assert group.dtype == ref.dtype
+    assert group.shape == ref.shape
+    assert group.tobytes() == ref.tobytes()
+
+
+def test_symmetry_group_past_int16_positions():
+    # 201**2 positions overflow int16 indices, so the rows are built in
+    # int64 there
+    group = symmetry_group(2, 200, CUBE)
+    assert group.tobytes() == reference_symmetry_group(2, 200, CUBE).tobytes()
 
 
 def test_symmetry_group_sizes():
