@@ -15,7 +15,10 @@ the classes of an orbit give equivalent children with equal shares.  The
 limit census lists the classes; the cube-space expansion takes orbits of
 its touched patterns and counts of untouched ZERO/ONE choices, and never
 lists the classes those groups stand for.  A state ends with the key it
-merges by, whose generators give its orbits (_form_key).
+merges by, whose generators give its orbits (_form_key).  The limit census
+searches that key only for a child that a cheap relabeling (_relabelled)
+does not match to a child already keyed at its level; a matched child
+borrows the bytes, merges into an existing entry and is never a state.
 """
 
 from __future__ import annotations
@@ -163,6 +166,44 @@ def _census_state(p):
     return p, canonical_key(p)
 
 
+def _relabelled(p):
+    """p, a torus packing, under a cheap relabeling: a normal form that
+    equivalent packings often, not always, share.
+
+    A literal's mark is the number of cubes holding it and the number
+    holding its opposite.  The coordinates are ordered by their sorted
+    columns of marks, ties in index order.  Then, until nothing changes
+    or for at most 4 rounds, the parameters are renumbered by first
+    occurrence, the first shift seen of each becoming shift 0, and the
+    cubes are sorted by their rows of marks, then by their codes.  A
+    relabeling carries every mark along, so a round leaves the columns
+    and their order alone.  Every step is a coordinate permutation, a
+    parameter renaming with literal swaps or a cube reordering, so the
+    result is equivalent to p.
+    """
+    held = Counter([c for cube in p.cubes for c in cube])
+    # a mark (h, h') is the int h * w + h', in the pairs' order as h' < w
+    w = p.m + 1
+    marks = [[held[c] * w + held[c ^ 1] for c in cube] for cube in p.cubes]
+    columns = [sorted([mark[j] for mark in marks]) for j in range(p.dim)]
+    order = sorted(range(p.dim), key=columns.__getitem__)
+    rows = sorted([(tuple([mark[j] for j in order]),
+                    tuple([cube[j] for j in order]))
+                   for mark, cube in zip(marks, p.cubes)])
+    for _ in range(4):
+        names = {}
+        # code 2q + s, the literal t_q + s, becomes 2i + (s xor s0): i is
+        # q's rank by first occurrence and s0 the shift it first had
+        renamed = sorted([
+            (mark, tuple([names.setdefault(c >> 1, 2 * len(names) + (c & 1))
+                          ^ (c & 1) for c in cube]))
+            for mark, cube in rows])
+        if renamed == rows:
+            break
+        rows = renamed
+    return make_packing(TORUS, p.dim, [cube for _, cube in rows])
+
+
 def _terminal_record(rep, key, prob, paths=None):
     return CensusRecord(key=key, rep=rep, prob=prob, aut=group_order(rep, key),
                         paths=paths)
@@ -181,6 +222,20 @@ def torus_limit_census(
     Sweeps over cube counts, merging states by canonical key and
     accumulating exact probabilities, so the result is independent of
     processing order.
+
+    A child skips its canonical search when _relabelled maps it to the
+    packing an earlier child of the same level was mapped to; it merges by
+    that child's key bytes, in a key without generators.  This is exact.
+    Every step of _relabelled is an element of the relabeling group, so
+    equal results mean equivalent packings and equal key bytes.  The table
+    of results holds the current level's children only (on_level clears
+    it), so a hit comes from a child keyed earlier in this level, which
+    sweep has already merged into the frontier under those bytes.  A
+    skipped child is therefore never a first arrival, and the stored
+    representatives, keys, generators, weights and record order are those
+    a search per child gives; children raises on a state without
+    generators.  At n = 4 the census searches 8,210 forms instead of
+    32,685.
 
     Args:
         n: dimension.
@@ -207,12 +262,17 @@ def torus_limit_census(
             f"dimension {n} census exceeds the default limit {limit}"
         )
 
+    keyed = {}  # this level's _relabelled(child) -> first child's key bytes
+
     def children(state, weight):
         # uniform over the classes of maximal nb, zero on the rest.  An
         # automorphism keeps nb, so the count classes of an orbit have one
         # share; one child from the leader, the orbit's first class, takes
         # count times it, and the children keep the classes' order
         rep, form = state
+        if form.gens is None:
+            raise AssertionError("a child merged without its canonical "
+                                 "search became a sweep state")
         classes = (enumerate_extension_classes(rep) if include_zero_prob
                    else max_nb_classes(rep))
         if not classes:
@@ -225,13 +285,22 @@ def torus_limit_census(
             c = classes[i]
             q = share * count if c.nb == best else Fraction(0)
             child = add_cube(rep, class_representative(rep, c))
-            out.append((_census_state(child),
+            r = _relabelled(child)
+            k = keyed.get(r)
+            if k is None:
+                kid = _census_state(child)
+                keyed[r] = kid[1].bytes
+            else:
+                kid = child, CanonicalKey(k, None)
+            out.append((kid,
                         weight.step(c.nb, q) if track_paths else weight * q))
         return out
 
     def on_level(level, frontier, records):
-        _save_checkpoint(checkpoint_path, n, include_zero_prob, track_paths,
-                         level, frontier, records)
+        keyed.clear()
+        if checkpoint_path is not None:
+            _save_checkpoint(checkpoint_path, n, include_zero_prob,
+                             track_paths, level, frontier, records)
 
     if checkpoint_path is not None and Path(checkpoint_path).exists():
         start = _load_checkpoint(
@@ -244,7 +313,7 @@ def torus_limit_census(
         start = (0, {_form_key(s0): [s0, w0]}, {})
     records = sweep(
         start, _form_key, children,
-        on_level=None if checkpoint_path is None else on_level,
+        on_level=on_level,
         _level_order=_level_order,
     )
     out = [
@@ -542,6 +611,12 @@ def cube_expansion(n, order, allow_large=False, return_records=False):
     out in walk order of their first classes, so every key keeps the
     representative and position a class-by-class step gives it.  Terminal
     records carry the full packing's key and automorphism order.
+
+    The limit census's skip of a child matched by a cheap relabeling is
+    left out here.  Touched parts recur across dimensions and hit canon's
+    cache: n = 1..6 at order 4 search 98 parts for 364 keys.  A prototype
+    of the skip on the touched parts took cube_expansion(5, 6) from 4.8 to
+    4.1 s but those six expansions from 0.050 to 0.059 s (2-core VM).
 
     Args:
         n: dimension.

@@ -309,6 +309,36 @@ def random_packing(rng, space, dim, steps, classes_of=enumerate_extension_classe
     return p
 
 
+def random_relabel(rng, p):
+    """A uniformly random member of the equivalence class of p."""
+    dim = p.dim
+    sigma = list(range(dim))
+    rng.shuffle(sigma)
+    params = [q for q, _ in p.param_coord]
+    renumber = params[:]
+    rng.shuffle(renumber)
+    pmap = dict(zip(params, renumber))
+    flip = {q: rng.randrange(2) for q in params}
+    reflect = [rng.randrange(2) for _ in range(dim)]
+    cubes = []
+    for cube in p.cubes:
+        row = [None] * dim
+        for j, code in enumerate(cube):
+            if code in (ZERO, ONE):
+                if p.space == CUBE and reflect[j]:
+                    code = ONE if code == ZERO else ZERO
+            else:
+                q = (code >> 1)
+                s = code & 1
+                if p.space == TORUS:
+                    s ^= flip[q]
+                code = literal(pmap[q], s)
+            row[sigma[j]] = code
+        cubes.append(tuple(row))
+    rng.shuffle(cubes)
+    return make_packing(p.space, dim, cubes)
+
+
 def _separated(a, b):
     """Whether coordinate codes a and b of two cubes differ by exactly 1."""
     if is_literal(a) and is_literal(b):

@@ -12,6 +12,7 @@ from helpers import (
     brute_equivalent,
     normalize_params,
     random_packing,
+    random_relabel,
     reference_refine,
     reference_sift_close_order,
 )
@@ -55,36 +56,6 @@ from cubepack.model import (
 T = literal
 
 
-def _relabel(rng, p):
-    """A uniformly random member of the equivalence class of p."""
-    dim = p.dim
-    sigma = list(range(dim))
-    rng.shuffle(sigma)
-    params = [q for q, _ in p.param_coord]
-    renumber = params[:]
-    rng.shuffle(renumber)
-    pmap = dict(zip(params, renumber))
-    flip = {q: rng.randrange(2) for q in params}
-    reflect = [rng.randrange(2) for _ in range(dim)]
-    cubes = []
-    for cube in p.cubes:
-        row = [None] * dim
-        for j, code in enumerate(cube):
-            if code in (ZERO, ONE):
-                if p.space == CUBE and reflect[j]:
-                    code = ONE if code == ZERO else ZERO
-            else:
-                q = (code >> 1)
-                s = code & 1
-                if p.space == TORUS:
-                    s ^= flip[q]
-                code = literal(pmap[q], s)
-            row[sigma[j]] = code
-        cubes.append(tuple(row))
-    rng.shuffle(cubes)
-    return make_packing(p.space, dim, cubes)
-
-
 def test_key_is_invariant_under_relabeling():
     rng = random.Random(21)
     for space in (TORUS, CUBE):
@@ -92,7 +63,7 @@ def test_key_is_invariant_under_relabeling():
             p = random_packing(rng, space, rng.randint(1, 3), rng.randint(1, 4))
             key = canonical_key(p)
             for _ in range(4):
-                q = _relabel(rng, p)
+                q = random_relabel(rng, p)
                 assert canonical_key(q) == key
 
 
@@ -119,9 +90,9 @@ def test_key_decides_equivalence_under_random_relabelings(space, dim, m,
     # second packing shares it exactly when brute force finds it equivalent
     rng = random.Random(seed)
     p = random_packing(rng, space, dim, m)
-    q = _relabel(rng, p)
+    q = random_relabel(rng, p)
     assert brute_equivalent(p, q) and canonical_key(q) == canonical_key(p)
-    r = _relabel(rng, random_packing(rng, space, dim, m))
+    r = random_relabel(rng, random_packing(rng, space, dim, m))
     assert (canonical_key(r) == canonical_key(p)) == brute_equivalent(p, r)
 
 

@@ -12,12 +12,16 @@ from helpers import (
     closed_form_expansion_polys,
     expansion_leaders,
     random_packing,
+    random_relabel,
     reference_expansion_children,
     reference_limit_children,
+    rod_probability,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubepack import canon, census, extend
-from cubepack.canon import automorphism_order, canonical_key
+from cubepack.canon import CanonicalKey, automorphism_order, canonical_key
 from cubepack.census import (
     ResourceGuardError,
     cube_expansion,
@@ -42,6 +46,7 @@ from cubepack.model import (
     add_cube,
     coordinate_params,
     make_packing,
+    validate,
 )
 from cubepack.ratfun import format_polynomial
 
@@ -609,7 +614,7 @@ def _canonical_searches(monkeypatch, run, clear_every_step):
 
 
 @pytest.mark.parametrize("run, searches", [
-    (lambda: torus_limit_census(3), 38),
+    (lambda: torus_limit_census(3), 29),
     (lambda: cube_expansion(3, 4), 52),
 ], ids=["census3", "expansion3"])
 def test_cache_evictions_add_no_canonical_searches(monkeypatch, run,
@@ -618,6 +623,113 @@ def test_cache_evictions_add_no_canonical_searches(monkeypatch, run,
     # and no terminal record searches again when the cache has lost them
     assert _canonical_searches(monkeypatch, run, False) == searches
     assert _canonical_searches(monkeypatch, run, True) == searches
+
+
+def _search_every_child(monkeypatch):
+    # no two children share a relabeling, so every child is searched
+    monkeypatch.setattr(census, "_relabelled", lambda p: object())
+
+
+def _reversed(items):
+    items.reverse()
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("mode", [
+    {}, {"include_zero_prob": True}, {"track_paths": True}])
+@pytest.mark.parametrize("level_order", [None, _reversed],
+                         ids=["in-order", "reversed"])
+def test_relabelled_children_keep_every_record(monkeypatch, n, mode,
+                                               level_order):
+    # a child merged by a relabeling's borrowed key bytes changes no record
+    def rows():
+        return [(r.key.bytes, r.rep.cubes, r.prob, r.aut, r.paths)
+                for r in torus_limit_census(n, _level_order=level_order,
+                                            **mode)]
+
+    skipped = rows()
+    _search_every_child(monkeypatch)
+    assert rows() == skipped
+
+
+@pytest.mark.parametrize("track_paths", [False, True])
+def test_relabelled_children_keep_the_checkpoint_bytes(monkeypatch, tmp_path,
+                                                       track_paths):
+    # written, interrupted at level 4 and resumed to the end
+    def files(tag):
+        done, part = tmp_path / f"{tag}.json", tmp_path / f"{tag}-part.json"
+        torus_limit_census(3, track_paths=track_paths, checkpoint_path=done)
+        with pytest.raises(_Interrupted):
+            torus_limit_census(3, track_paths=track_paths,
+                               checkpoint_path=part,
+                               _level_order=_count_levels([], stop_at=5))
+        interrupted = part.read_bytes()
+        torus_limit_census(3, track_paths=track_paths, checkpoint_path=part)
+        return done.read_bytes(), interrupted, part.read_bytes()
+
+    skipped = files("skipped")
+    _search_every_child(monkeypatch)
+    assert files("searched") == skipped
+
+
+@pytest.mark.parametrize("mode, skipped, searched", [
+    ({}, 29, 38),
+    ({"include_zero_prob": True}, 302, 800),
+    ({"track_paths": True}, 29, 38),
+], ids=["plain", "zero-prob", "tracked"])
+def test_relabelled_children_skip_pinned_searches(monkeypatch, mode, skipped,
+                                                  searched):
+    # n = 3; the empty packing's search is one of each count
+    def run():
+        torus_limit_census(3, **mode)
+
+    assert _canonical_searches(monkeypatch, run, False) == skipped
+    _search_every_child(monkeypatch)
+    assert _canonical_searches(monkeypatch, run, False) == searched
+
+
+def test_a_child_without_generators_is_never_stepped(monkeypatch):
+    # a borrowed key has no generators to give the state's orbits
+    monkeypatch.setattr(census, "_census_state",
+                        lambda p: (p, CanonicalKey(canonical_key(p).bytes,
+                                                   None)))
+    with pytest.raises(AssertionError, match="without its canonical"):
+        torus_limit_census(2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dim=st.integers(0, 4), steps=st.integers(0, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_relabelled_is_an_equivalent_torus_packing(dim, steps, seed):
+    rng = random.Random(seed)
+    p = random_relabel(rng, random_packing(rng, TORUS, dim, steps))
+    r = census._relabelled(p)
+    assert (r.space, r.dim, r.m) == (TORUS, p.dim, p.m)
+    assert (validate(r) is None if dim else r.cubes == p.cubes)
+    assert canonical_key(r).bytes == canonical_key(p).bytes
+    if r.m <= 6 and dim <= 3:
+        assert brute_equivalent(r, p)
+
+
+def test_census_n4_values():
+    # the paper's dimension-4 census: non-extensible classes reached with
+    # positive probability, and the paper's bounds on parameters and
+    # cubes; aut is left out, as some of its orders undercount.  About
+    # 14 s (2-core VM)
+    recs = torus_limit_census(4)
+    stuck = [r for r in recs if r.m < 16]
+    assert len(recs) == 63 and len(stuck) == 31
+    assert {r.m for r in stuck} == {6, 8, 10, 12}
+    assert expected_cubes_limit(4, recs) == Fraction(15253049369, 1006387200)
+    assert sum(r.prob for r in stuck) == Fraction(75225781, 431308800)
+    assert laminated_mass(recs) == Fraction(1, 2)
+    prob = {r.key.bytes: r.prob for r in recs}
+    rod = canonical_key(rod_tiling(4)).bytes
+    assert prob[rod] == rod_probability(4) == Fraction(89, 14976)
+    assert prob[canonical_key(load_fixture("dim4-1over480")).bytes] == (
+        Fraction(1, 480))
+    assert {r.nparams for r in recs} == set(range(10, 16))
+    assert not {13, 14, 15} & {r.m for r in recs}
 
 
 def test_asking_for_orders_leaves_the_orbit_children_alone(monkeypatch):
