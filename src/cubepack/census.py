@@ -16,9 +16,9 @@ limit census lists the classes; the cube-space expansion takes orbits of
 its touched patterns and counts of untouched ZERO/ONE choices, and never
 lists the classes those groups stand for.  A state ends with the key it
 merges by, whose generators give its orbits (_form_key).  The limit census
-searches that key only for a child that a cheap relabeling (_relabelled)
-does not match to a child already keyed at its level; a matched child
-borrows the bytes, merges into an existing entry and is never a state.
+builds and searches a child only when a cheap relabeling of its cube rows
+(_relabelled) does not match a child already searched at its level; a
+matched child is that child's state, already merged at this level.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from math import comb
 from pathlib import Path
 
 from .canon import (
-    CanonicalKey,
     canonical_key,
     class_orbit_leaders,
     group_order,
@@ -166,9 +165,10 @@ def _census_state(p):
     return p, canonical_key(p)
 
 
-def _relabelled(p):
-    """p, a torus packing, under a cheap relabeling: a normal form that
-    equivalent packings often, not always, share.
+def _relabelled(cubes):
+    """The cube rows of a torus packing under a cheap relabeling: a normal
+    form, a tuple of rows, that equivalent packings often, not always,
+    share.
 
     A literal's mark is the number of cubes holding it and the number
     holding its opposite.  The coordinates are ordered by their sorted
@@ -179,17 +179,17 @@ def _relabelled(p):
     relabeling carries every mark along, so a round leaves the columns
     and their order alone.  Every step is a coordinate permutation, a
     parameter renaming with literal swaps or a cube reordering, so the
-    result is equivalent to p.
+    result is the rows of a packing equivalent to the given one.
     """
-    held = Counter([c for cube in p.cubes for c in cube])
+    held = Counter([c for cube in cubes for c in cube])
     # a mark (h, h') is the int h * w + h', in the pairs' order as h' < w
-    w = p.m + 1
-    marks = [[held[c] * w + held[c ^ 1] for c in cube] for cube in p.cubes]
-    columns = [sorted([mark[j] for mark in marks]) for j in range(p.dim)]
-    order = sorted(range(p.dim), key=columns.__getitem__)
+    w = len(cubes) + 1
+    marks = [[held[c] * w + held[c ^ 1] for c in cube] for cube in cubes]
+    columns = [sorted(column) for column in zip(*marks)]
+    order = sorted(range(len(columns)), key=columns.__getitem__)
     rows = sorted([(tuple([mark[j] for j in order]),
                     tuple([cube[j] for j in order]))
-                   for mark, cube in zip(marks, p.cubes)])
+                   for mark, cube in zip(marks, cubes)])
     for _ in range(4):
         names = {}
         # code 2q + s, the literal t_q + s, becomes 2i + (s xor s0): i is
@@ -201,7 +201,7 @@ def _relabelled(p):
         if renamed == rows:
             break
         rows = renamed
-    return make_packing(TORUS, p.dim, [cube for _, cube in rows])
+    return tuple([cube for _, cube in rows])
 
 
 def _terminal_record(rep, key, prob, paths=None):
@@ -223,19 +223,15 @@ def torus_limit_census(
     accumulating exact probabilities, so the result is independent of
     processing order.
 
-    A child skips its canonical search when _relabelled maps it to the
-    packing an earlier child of the same level was mapped to; it merges by
-    that child's key bytes, in a key without generators.  This is exact.
-    Every step of _relabelled is an element of the relabeling group, so
-    equal results mean equivalent packings and equal key bytes.  The table
-    of results holds the current level's children only (on_level clears
-    it), so a hit comes from a child keyed earlier in this level, which
-    sweep has already merged into the frontier under those bytes.  A
-    skipped child is therefore never a first arrival, and the stored
-    representatives, keys, generators, weights and record order are those
-    a search per child gives; children raises on a state without
-    generators.  At n = 4 the census searches 8,210 forms instead of
-    32,685.
+    A child whose cube rows _relabelled maps to the rows of an earlier
+    child of the same level is that child's state: it is neither built nor
+    searched.  This is exact.  Every step of _relabelled is a relabeling,
+    so equal rows mean equivalent packings and equal keys.  The table holds
+    this level's children only (on_level clears it), and sweep has merged
+    each into the frontier, so a matched child merges its weight into that
+    entry and is never a first arrival.  The stored representatives, keys,
+    generators, weights and record order are those a search per child
+    gives.  At n = 4 the census searches 8,210 forms instead of 32,685.
 
     Args:
         n: dimension.
@@ -262,7 +258,7 @@ def torus_limit_census(
             f"dimension {n} census exceeds the default limit {limit}"
         )
 
-    keyed = {}  # this level's _relabelled(child) -> first child's key bytes
+    searched = {}  # this level's relabelled child rows -> the first's state
 
     def children(state, weight):
         # uniform over the classes of maximal nb, zero on the rest.  An
@@ -270,9 +266,6 @@ def torus_limit_census(
         # share; one child from the leader, the orbit's first class, takes
         # count times it, and the children keep the classes' order
         rep, form = state
-        if form.gens is None:
-            raise AssertionError("a child merged without its canonical "
-                                 "search became a sweep state")
         classes = (enumerate_extension_classes(rep) if include_zero_prob
                    else max_nb_classes(rep))
         if not classes:
@@ -284,20 +277,17 @@ def torus_limit_census(
                 class_orbit_leaders(rep, classes, form.gens)).items():
             c = classes[i]
             q = share * count if c.nb == best else Fraction(0)
-            child = add_cube(rep, class_representative(rep, c))
-            r = _relabelled(child)
-            k = keyed.get(r)
-            if k is None:
-                kid = _census_state(child)
-                keyed[r] = kid[1].bytes
-            else:
-                kid = child, CanonicalKey(k, None)
+            cube = class_representative(rep, c)
+            rows = _relabelled(rep.cubes + (cube,))
+            kid = searched.get(rows)
+            if kid is None:
+                kid = searched[rows] = _census_state(add_cube(rep, cube))
             out.append((kid,
                         weight.step(c.nb, q) if track_paths else weight * q))
         return out
 
     def on_level(level, frontier, records):
-        keyed.clear()
+        searched.clear()
         if checkpoint_path is not None:
             _save_checkpoint(checkpoint_path, n, include_zero_prob,
                              track_paths, level, frontier, records)
@@ -476,7 +466,7 @@ def replay_is_positive(p, order=None):
     return True
 
 
-def positive_path_exists(p, allow_large=False):
+def positive_path_exists(p):
     """Whether any insertion order of p's cubes is a positive path.
 
     Sweeps the lattice of cube subsets, states keyed by their cube mask and
@@ -487,7 +477,7 @@ def positive_path_exists(p, allow_large=False):
     class.  p must be a valid packing (verify_fixture
     validates first): the bound needs every remaining cube to be addable.
     """
-    if p.m > 16 and not allow_large:
+    if p.m > 16:
         raise ResourceGuardError(f"subset walk over 2^{p.m} states")
     full = (1 << p.m) - 1
 
@@ -612,11 +602,12 @@ def cube_expansion(n, order, allow_large=False, return_records=False):
     representative and position a class-by-class step gives it.  Terminal
     records carry the full packing's key and automorphism order.
 
-    The limit census's skip of a child matched by a cheap relabeling is
-    left out here.  Touched parts recur across dimensions and hit canon's
-    cache: n = 1..6 at order 4 search 98 parts for 364 keys.  A prototype
-    of the skip on the touched parts took cube_expansion(5, 6) from 4.8 to
-    4.1 s but those six expansions from 0.050 to 0.059 s (2-core VM).
+    The limit census's cheap relabeling, whose match reuses an earlier
+    child's state, is left out here.  Touched parts recur across
+    dimensions and hit canon's cache: n = 1..6 at order 4 search 98 parts
+    for 364 keys.  A prototype of the skip on the touched parts took
+    cube_expansion(5, 6) from 4.8 to 4.1 s but those six expansions from
+    0.050 to 0.059 s (2-core VM).
 
     Args:
         n: dimension.

@@ -217,7 +217,7 @@ def finite_census(n, N, space=TORUS, allow_large=False):
     return out
 
 
-def min_maximal_packing(n, N, allow_large=False):
+def min_maximal_packing(n, N):
     """Smallest maximal grid packing: exhaustive cover search with witness.
 
     Iterative deepening over the size limit.  At each limit
@@ -246,7 +246,7 @@ def min_maximal_packing(n, N, allow_large=False):
     if N != 2:
         raise ValueError("the search is specific to the half-step grid")
     npos = (2 * N) ** n
-    if npos > 256 and not allow_large:
+    if npos > 256:
         raise ResourceGuardError(f"cover search over {npos} positions")
     positions = grid_positions(n, N, TORUS)
     balls = _ball_masks(positions, N, TORUS)

@@ -242,7 +242,7 @@ def interpolate(points, degree):
     return poly
 
 
-def format_polynomial(poly, var="n"):
+def format_polynomial(poly):
     """Render like 4n^2-8n; fractional coefficients factor out as (...)/d."""
     if poly.is_zero():
         return "0"
@@ -258,7 +258,7 @@ def format_polynomial(poly, var="n"):
             body = str(mag)
         else:
             head = "" if mag == 1 else str(mag)
-            body = f"{head}{var}" + (f"^{power}" if power > 1 else "")
+            body = f"{head}n" + (f"^{power}" if power > 1 else "")
         sign = "-" if c < 0 else ("+" if parts else "")
         parts.append(sign + body)
     text = "".join(parts)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubepack import canon, census, extend
-from cubepack.canon import CanonicalKey, automorphism_order, canonical_key
+from cubepack.canon import automorphism_order, canonical_key
 from cubepack.census import (
     ResourceGuardError,
     cube_expansion,
@@ -573,7 +573,11 @@ def test_orbit_step_matches_the_class_by_class_limit_step(monkeypatch, n,
                                                           mode):
     # one child per orbit weighted by its class count and the step that
     # weights every class's child merge to the same children, weights and
-    # stored representatives
+    # stored representatives.  A child the relabeling matches is the state
+    # of an earlier child, maybe of another parent, so every child is
+    # searched here; test_relabelled_children_keep_every_record compares
+    # whole sweeps with the matches on
+    _search_every_child(monkeypatch)
     steps = _swept_steps(monkeypatch, lambda: torus_limit_census(n, **mode))
     orbits = classes = 0
     for rep, weight, kids in steps:
@@ -688,13 +692,20 @@ def test_relabelled_children_skip_pinned_searches(monkeypatch, mode, skipped,
     assert _canonical_searches(monkeypatch, run, False) == searched
 
 
-def test_a_child_without_generators_is_never_stepped(monkeypatch):
-    # a borrowed key has no generators to give the state's orbits
-    monkeypatch.setattr(census, "_census_state",
-                        lambda p: (p, CanonicalKey(canonical_key(p).bytes,
-                                                   None)))
-    with pytest.raises(AssertionError, match="without its canonical"):
-        torus_limit_census(2)
+@pytest.mark.parametrize("mode, searches", [
+    ({}, 29),
+    ({"include_zero_prob": True}, 302),
+    ({"track_paths": True}, 29),
+], ids=["plain", "zero-prob", "tracked"])
+def test_a_matched_child_is_never_built(monkeypatch, mode, searches):
+    # n = 3: a child is built only to be searched, and the empty packing is
+    # searched without add_cube
+    calls = {"add_cube": 0}
+    monkeypatch.setattr(census, "add_cube",
+                        _counting(calls, "add_cube", census.add_cube))
+    assert _canonical_searches(
+        monkeypatch, lambda: torus_limit_census(3, **mode), False) == searches
+    assert calls["add_cube"] == searches - 1
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -703,7 +714,7 @@ def test_a_child_without_generators_is_never_stepped(monkeypatch):
 def test_relabelled_is_an_equivalent_torus_packing(dim, steps, seed):
     rng = random.Random(seed)
     p = random_relabel(rng, random_packing(rng, TORUS, dim, steps))
-    r = census._relabelled(p)
+    r = make_packing(TORUS, dim, census._relabelled(p.cubes))
     assert (r.space, r.dim, r.m) == (TORUS, p.dim, p.m)
     assert (validate(r) is None if dim else r.cubes == p.cubes)
     assert canonical_key(r).bytes == canonical_key(p).bytes

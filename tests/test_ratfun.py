@@ -236,4 +236,3 @@ def test_polynomial_formatting():
     assert format_polynomial(Polynomial(())) == "0"
     assert format_polynomial(Polynomial((0, 1))) == "n"
     assert format_polynomial(Polynomial((Fraction(1, 2), Fraction(1, 3)))) == "(2n+3)/6"
-    assert format_polynomial(Polynomial((-1, 0, 1)), var="N") == "N^2-1"
