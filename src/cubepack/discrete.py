@@ -7,7 +7,10 @@ States are kept canonical under the grid symmetries, x -> (s*x + t) mod
 |axis| per coordinate after a coordinate permutation.  The census classes
 are one step coarser: terminal states merge when a cube bijection
 preserves each pair's number of blocking coordinates, the classification
-calibrated against the published half-step counts.  The census runs the
+calibrated against the published half-step counts.  The class key is the
+least reading of the blocking-count matrix over all cube orders; its tie
+search tries one cube per twin class at each step, twins being cubes
+whose transposition leaves the matrix unchanged.  The census runs the
 sweep engine it shares with the limit census and the cube expansion
 (census.sweep), with grid states as keys.  The heavy steps are the
 kernels in backend, and both use the symmetry group: a canonical form
@@ -111,28 +114,64 @@ def blocking_counts(anchors, N, space):
     return counts
 
 
-def _min_matrix_order(counts):
-    # lexicographically minimal lower-triangular reading over all
-    # simultaneous row/column permutations; ties are kept so the result
-    # is canonical
+def _twin_classes(counts):
+    """The twin classes of a symmetric matrix, each in index order and
+    ordered by lowest member: a and b are twins when counts[a][x] ==
+    counts[b][x] for every x outside {a, b}.  Twinship is an equivalence
+    relation (_min_reading), so a cube is compared with class roots only."""
     m = len(counts)
+    classes = []
+    for v in range(m):
+        for cls in classes:
+            r = cls[0]
+            if all(counts[v][x] == counts[r][x]
+                   for x in range(m) if x != v and x != r):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def _min_reading(counts):
+    """The lexicographically least lower-triangular reading of a symmetric
+    matrix with zero diagonal over all simultaneous row and column
+    permutations: the rows counts[o_i][o_j], j < i, of an order o,
+    concatenated.
+
+    The search runs breadth first and keeps every tied prefix, but extends
+    a prefix by one cube per twin class only, the lowest-index unused
+    member.  The matrix is symmetric, so the transposition (a b) of twins
+    a and b preserves it.  Twinship is an equivalence relation: if a ~ b
+    and b ~ c, then counts[a][x] == counts[c][x] for x outside {a, b, c}
+    through b, and counts[a][b] == counts[c][a] == counts[b][c] ==
+    counts[c][b] by b ~ c, a ~ b and symmetry.  So every order has an
+    image, under the product of the symmetric groups on the classes, that
+    places each class in index order and has the same reading.  The
+    prefixes this rule generates are exactly those of such restricted
+    orders, and each of them extends to one, so the tie search returns the
+    least reading over all orders.
+    """
+    classes = _twin_classes(counts)
     partials = [()]
-    for _ in range(m):
+    reading = []
+    for _ in counts:
         best = None
         nxt = []
         for order in partials:
-            used = set(order)
-            for v in range(m):
-                if v in used:
+            for cls in classes:
+                v = next((u for u in cls if u not in order), None)
+                if v is None:
                     continue
-                row = tuple(counts[v][u] for u in order)
+                row = [counts[v][u] for u in order]
                 if best is None or row < best:
                     best = row
                     nxt = [order + (v,)]
                 elif row == best:
                     nxt.append(order + (v,))
+        reading += best
         partials = nxt
-    return partials[0]
+    return reading
 
 
 def blocking_class_key(anchors, n, N, space):
@@ -143,11 +182,8 @@ def blocking_class_key(anchors, n, N, space):
     This is the coarsening calibrated to reproduce the published
     half-step class counts; grid-symmetric packings always agree on it.
     """
-    counts = blocking_counts(anchors, N, space)
-    order = _min_matrix_order(counts)
+    data = bytes(_min_reading(blocking_counts(anchors, N, space)))
     m = len(anchors)
-    data = bytes(counts[order[i]][order[j]]
-                 for i in range(m) for j in range(i))
     return CanonicalKey(
         f"finite|{space}|{n}|{N}|{m}|".encode() + data.hex().encode(), None)
 

@@ -10,7 +10,8 @@ reference_limit_children are former step rules of cube_expansion and
 torus_limit_census, kept as the oracles of the current ones, and so are
 reference_symmetry_group and root_orbit_labels, the former per-combination
 loop of discrete.symmetry_group and the former orbit names of the cover
-search's root cut.
+search's root cut.  reference_min_matrix_order is the former tie search of
+discrete.blocking_class_key, which tried every unused cube at each step.
 """
 
 from dataclasses import dataclass
@@ -612,6 +613,30 @@ def reference_symmetry_group(n, N, space):
             rows.append((c[:, 0] * perm + c[:, 1]) % size @ weights)
     return np.unique(np.array(rows, dtype=np.int64), axis=0)
 
+
+
+def reference_min_matrix_order(counts):
+    # lexicographically minimal lower-triangular reading over all
+    # simultaneous row/column permutations; ties are kept so the result
+    # is canonical
+    m = len(counts)
+    partials = [()]
+    for _ in range(m):
+        best = None
+        nxt = []
+        for order in partials:
+            used = set(order)
+            for v in range(m):
+                if v in used:
+                    continue
+                row = tuple(counts[v][u] for u in order)
+                if best is None or row < best:
+                    best = row
+                    nxt = [order + (v,)]
+                elif row == best:
+                    nxt.append(order + (v,))
+        partials = nxt
+    return partials[0]
 
 def root_orbit_labels(positions, N):
     """Per torus position, a name of its orbit under the symmetries that

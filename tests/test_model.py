@@ -12,10 +12,12 @@ from helpers import (
     normalize_params,
     pairwise_phi_grid,
     random_packing,
+    realize,
 )
 
 from cubepack import canon
 from cubepack.census import cube_expansion, torus_limit_census
+from cubepack.extend import max_nb_classes
 from cubepack.constructions import (
     fixtures,
     h_matrix,
@@ -190,6 +192,23 @@ def test_phi_grid_matches_the_pairwise_overlap_scan(case):
     assert (_outcome(phi_grid, vecs, N, space)
             == _outcome(pairwise_phi_grid, vecs, N, space))
 
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    space=st.sampled_from((TORUS, CUBE)),
+    dim=st.integers(1, 4),
+    steps=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phi_grid_of_a_realization_is_the_type(space, dim, steps, seed):
+    # a limit-process path realized on a grid fine enough for every
+    # parameter to get its own value projects back to its own type
+    p = random_packing(random.Random(seed), space, dim, steps, max_nb_classes)
+    N = p.m + 2
+    q = phi_grid(realize(p, N), N, space)
+    assert q.nparams == p.nparams
+    assert canon.canonical_key(q) == canon.canonical_key(p)
 
 def test_phi_rejects_cube_anchor_outside_unit_box():
     with pytest.raises(InvalidDiscretePackingError):
