@@ -91,7 +91,9 @@ def symmetry_group(n, N, space):
 
     Each maps x to (s*x + t) mod |axis| in every coordinate after a
     coordinate permutation.  Torus: any sign s and translation t.  Cube
-    space: the identity and the reflection (s, t) = (-1, N).
+    space: the identity and the reflection (s, t) = (-1, N).  The rows are
+    distinct and in lexicographic order, deduplicated by a lexsort rather
+    than np.unique(axis=0), which imports numpy.ma on first use.
     """
     size = len(_axis(N, space))
     if space == TORUS:
@@ -99,7 +101,10 @@ def symmetry_group(n, N, space):
     else:
         percoord = [(1, 0), (-1, N)]
     rows = _grid_maps(n, size, percoord, permutations(range(n)))
-    return np.unique(rows, axis=0).astype(np.int64)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[fresh].astype(np.int64)
 
 
 def blocking_counts(anchors, N, space):

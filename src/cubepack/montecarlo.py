@@ -8,15 +8,21 @@ so no grid is ever materialized and arbitrarily fine resolutions cost the
 same.  Only the empty packing's classes come from the class walk, and its
 sizes from extend.class_sizes; every later state's classes and sizes are
 derived from its parent's in one step by extend.classes_after, which
-returns the walk's list in the walk's order.  Trials run in trial-index
-order, each on a counter-based substream keyed (seed, trial index), so a
-trial's outcome depends on the seed and its index only: reports are
-reproducible, and a run's counts are a prefix of any longer run's with the
-same seed.
+returns the walk's list in the walk's order.  Each trial runs on a
+counter-based substream keyed (seed, trial index), so a trial's outcome
+depends on the seed and its index only.  The trials are split by index
+into one contiguous chunk per CPU the process may run on: the calling
+process runs the first chunk, a forked child each other one, and the
+results are joined in trial-index order.  Reports are therefore
+reproducible and the same for any CPU count, and a run's counts are a
+prefix of any longer run's with the same seed.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from math import sqrt
@@ -87,9 +93,10 @@ class SimReport:
     histogram: tuple = None
 
 
-# Sized by measurement: 400 trials at n = 4, N = 50 keep 92-93 % of an
-# unbounded cache's hits (85 % at 512) and peak at 37.8 MiB instead of
-# 45.4 (seeds 1-3).
+# Sized by measurement, per process: each half of 400 trials at n = 4,
+# N = 50 keeps 96-97.5 % of an unbounded cache's hits (89-92 % at 512)
+# and peaks at 37.7-37.9 MiB instead of 40.4-40.6 (seeds 1-3).  One
+# process running all 400 keeps 92-93 % and peaks at 37.9 instead of 45.4.
 _CACHE_SIZE = 1024
 _entries = OrderedDict()
 
@@ -240,21 +247,109 @@ def _run_trial(cfg, trial, want_key):
     return count, lam, key
 
 
+def _cpu_count():
+    """CPUs in this process's affinity set; 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_chunk(cfg, trials, want_key):
+    """Run the trials in a forked child; returns (pid, read end of a pipe).
+
+    The child writes the pickled pair (True, results) or (False, the
+    exception its trials raised) to the pipe and leaves by os._exit
+    whatever happens, so it never returns into the caller's stack.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                reply = True, [_run_trial(cfg, t, want_key) for t in trials]
+            except Exception as exc:
+                reply = False, exc
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(reply, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _trial_results(cfg, want_key):
+    """_run_trial's results for every trial, in trial-index order.
+
+    The first of the contiguous chunks runs here and each other one in a
+    forked child (_fork_chunk).  A child's exception is raised here, and
+    a child that ends without a result raises a RuntimeError naming its
+    exit status.  Whatever is raised, every child still running is killed
+    and reaped first.
+    """
+    k = min(cfg.trials, _cpu_count())
+    bounds = [cfg.trials * i // k for i in range(k + 1)]
+    children = []
+    try:
+        if k > 1:
+            # a child must not write out text buffered before the fork
+            sys.stdout.flush()
+            sys.stderr.flush()
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_chunk(cfg, range(lo, hi), want_key))
+        results = [_run_trial(cfg, t, want_key) for t in range(bounds[1])]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                reply = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if not reply:
+                raise RuntimeError(
+                    f"trial process {pid} ended without a result, exit "
+                    f"status {os.waitstatus_to_exitcode(status)}")
+            ok, payload = pickle.loads(reply)
+            if not ok:
+                raise payload
+            results += payload
+        return results
+    finally:
+        if children:
+            # imported on this path alone: signal costs about 0.6 ms to import
+            import signal
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def estimate_expectation(cfg, emit_histogram=False, allow_large=False):
     """Run all trials and aggregate; deterministic for a given (cfg, seed).
+
+    The trials run in one contiguous chunk per CPU of the process's
+    affinity set (os.sched_getaffinity), capped at the trial count: the
+    calling process runs the first chunk and forked children the others
+    (_trial_results).  Every report field is the same for any CPU count,
+    and where os.fork or os.sched_getaffinity is missing one chunk runs
+    here.  Python 3.12 and later warn with a DeprecationWarning when a
+    process that has threads forks, as numpy's OpenBLAS threads make it;
+    the warning is left to the caller's filters, not silenced here.
 
     The 95% interval uses the normal approximation, which is adequate at
     the trial counts used here but approximate for small runs.
 
     Raises:
         ResourceGuardError: if cfg.dim > SIM_MAX_DIM without allow_large.
+        RuntimeError: if a trial process ends without a result.
     """
     if cfg.dim > SIM_MAX_DIM and not allow_large:
         raise ResourceGuardError(
             f"dimension {cfg.dim} simulation exceeds the default limit "
             f"{SIM_MAX_DIM}"
         )
-    results = [_run_trial(cfg, t, emit_histogram) for t in range(cfg.trials)]
+    results = _trial_results(cfg, emit_histogram)
     counts = tuple(r[0] for r in results)
     mean = sum(counts) / cfg.trials
     if cfg.trials > 1:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubepack import cli
+from cubepack import cli, montecarlo
 from cubepack.canon import canonical_key
 from cubepack.constructions import one_dim_tiling, rod_tiling
 from cubepack.model import dumps, loads, make_packing
@@ -92,7 +92,7 @@ def test_enumerate_checkpoint(tmp_path):
     assert again_code == 0 and again_text == text
 
 
-def test_simulate_deterministic():
+def test_simulate_deterministic(monkeypatch):
     argv = ["simulate", "--space", "torus", "--dim", "3", "--N", "50",
             "--trials", "200", "--seed", "9", "--track-lamination",
             "--emit-histogram"]
@@ -104,6 +104,10 @@ def test_simulate_deterministic():
     assert sum(c for _, c in report["histogram"]) == 200
     again_code, again_text = run(argv)
     assert again_code == 0 and again_text == text
+    # the trials split into one chunk per CPU; the text does not depend on it
+    for cpus in (1, 2):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        assert run(argv) == (0, text)
 
 
 def test_construct_roundtrip():

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from helpers import reference_min_matrix_order, reference_symmetry_group
@@ -109,6 +113,21 @@ def test_symmetry_group_past_int16_positions():
     # int64 there
     group = symmetry_group(2, 200, CUBE)
     assert group.tobytes() == reference_symmetry_group(2, 200, CUBE).tobytes()
+
+
+def test_symmetry_group_leaves_numpy_ma_unimported():
+    # np.unique(axis=0) would import numpy.ma, about 8 ms of a cold call
+    code = ("import sys\n"
+            "from cubepack.discrete import symmetry_group\n"
+            "from cubepack.model import TORUS\n"
+            "symmetry_group(3, 2, TORUS)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_symmetry_group_sizes():

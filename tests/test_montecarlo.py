@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import time
 from collections import OrderedDict
 
 import numpy as np
@@ -275,3 +277,107 @@ def test_a_trial_past_two_to_the_dim_cubes_fails_fast(monkeypatch, space):
     cfg = SimConfig(space=space, dim=2, N=50, trials=1, seed=3)
     with pytest.raises(AssertionError, match=r"past 2\^2 cubes"):
         sample_packing(cfg, _rng(3, 0))
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_reports_are_the_same_for_any_cpu_count(monkeypatch):
+    # 7 trials make uneven chunks: 7, then 3 + 4, then 2 + 2 + 3; the
+    # counts differ, so a chunk joined out of order shows
+    cfg = SimConfig(space=TORUS, dim=3, N=50, trials=7, seed=1,
+                    track_lamination=True)
+    reports = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        reports.append(estimate_expectation(cfg, emit_histogram=True))
+    assert reports[0] == reports[1] == reports[2]
+    assert len(set(reports[0].counts)) > 1
+    assert reports[0].histogram and reports[0].lamination_frequency is not None
+    _assert_no_child_process()
+
+
+@pytest.mark.parametrize("trials, cpus, forks", [(1, 2, 0), (2, 3, 1),
+                                                 (5, 1, 0), (5, 3, 2)])
+def test_one_fork_per_chunk_past_the_first(monkeypatch, trials, cpus, forks):
+    calls = []
+    fork = os.fork
+
+    def spy():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "fork", spy)
+    cfg = SimConfig(space=CUBE, dim=2, N=5, trials=trials, seed=1)
+    assert estimate_expectation(cfg).counts == tuple(
+        montecarlo._run_trial(cfg, t, False)[0] for t in range(trials))
+    assert len(calls) == forks
+
+
+def _failing_trial(failing, run_trial=montecarlo._run_trial):
+    def trial(cfg, index, want_key):
+        if index == failing:
+            raise AssertionError(f"trial {index} failed")
+        return run_trial(cfg, index, want_key)
+    return trial
+
+
+@pytest.mark.parametrize("failing", [0, 3, 5])
+def test_a_failing_chunk_raises_here_and_leaves_no_process(monkeypatch,
+                                                           failing):
+    # 6 trials on 3 CPUs: trials 0-1 run here, 2-3 and 4-5 in children
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(montecarlo, "_run_trial", _failing_trial(failing))
+    cfg = SimConfig(space=TORUS, dim=2, N=5, trials=6, seed=1)
+    with pytest.raises(AssertionError, match=f"^trial {failing} failed$"):
+        estimate_expectation(cfg)
+    _assert_no_child_process()
+
+
+def test_a_failing_first_chunk_kills_the_running_children(monkeypatch):
+    def trial(cfg, index, want_key):
+        if index == 0:
+            raise AssertionError("first chunk failed")
+        time.sleep(60)
+
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_run_trial", trial)
+    cfg = SimConfig(space=TORUS, dim=2, N=5, trials=2, seed=1)
+    start = time.monotonic()
+    with pytest.raises(AssertionError, match="first chunk failed"):
+        estimate_expectation(cfg)
+    assert time.monotonic() - start < 30
+    _assert_no_child_process()
+
+
+def test_a_child_that_dies_names_its_exit_status(monkeypatch):
+    def trial(cfg, index, want_key):
+        if index == 1:
+            os._exit(3)
+        return 1, None, None
+
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_run_trial", trial)
+    cfg = SimConfig(space=TORUS, dim=2, N=5, trials=2, seed=1)
+    with pytest.raises(RuntimeError, match="exit status 3"):
+        estimate_expectation(cfg)
+    _assert_no_child_process()
+
+
+def test_a_child_trial_past_two_to_the_dim_cubes_fails_here(monkeypatch):
+    # trial 0 runs here on a stub; trial 1 grows without end in the child
+    run_trial = montecarlo._run_trial
+    monkeypatch.setattr(montecarlo, "_run_trial",
+                        lambda cfg, index, want_key: (1, None, None)
+                        if index == 0 else run_trial(cfg, index, want_key))
+    monkeypatch.setattr(montecarlo, "_entries", OrderedDict())
+    monkeypatch.setattr(montecarlo, "classes_after",
+                        lambda p, classes, sizes, cube, N: (classes, sizes))
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    cfg = SimConfig(space=TORUS, dim=2, N=50, trials=2, seed=3)
+    with pytest.raises(AssertionError, match=r"past 2\^2 cubes"):
+        estimate_expectation(cfg)
+    _assert_no_child_process()
