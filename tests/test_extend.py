@@ -394,7 +394,8 @@ def test_enumeration_matches_reference_walk_on_sampler_states(
         monkeypatch, space, dim, N, trials):
     # two or more coordinates above the last two, on the states a short
     # simulation visits; every step goes through add_cube whether or not
-    # the sampler's cache holds the child, so all transitions are seen
+    # the sampler's cache holds the child, so all transitions are seen;
+    # one CPU keeps every trial in this process, where the spy is
     seen = set()
 
     def record(p, cube):
@@ -402,6 +403,7 @@ def test_enumeration_matches_reference_walk_on_sampler_states(
         return add_cube(p, cube)
 
     monkeypatch.setattr(montecarlo, "add_cube", record)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
     montecarlo.estimate_expectation(montecarlo.SimConfig(
         space=space, dim=dim, N=N, trials=trials, seed=1))
     monkeypatch.undo()

@@ -366,18 +366,3 @@ def test_a_child_that_dies_names_its_exit_status(monkeypatch):
         estimate_expectation(cfg)
     _assert_no_child_process()
 
-
-def test_a_child_trial_past_two_to_the_dim_cubes_fails_here(monkeypatch):
-    # trial 0 runs here on a stub; trial 1 grows without end in the child
-    run_trial = montecarlo._run_trial
-    monkeypatch.setattr(montecarlo, "_run_trial",
-                        lambda cfg, index, want_key: (1, None, None)
-                        if index == 0 else run_trial(cfg, index, want_key))
-    monkeypatch.setattr(montecarlo, "_entries", OrderedDict())
-    monkeypatch.setattr(montecarlo, "classes_after",
-                        lambda p, classes, sizes, cube, N: (classes, sizes))
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
-    cfg = SimConfig(space=TORUS, dim=2, N=50, trials=2, seed=3)
-    with pytest.raises(AssertionError, match=r"past 2\^2 cubes"):
-        estimate_expectation(cfg)
-    _assert_no_child_process()
