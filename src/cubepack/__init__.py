@@ -16,7 +16,6 @@ from .model import (
     literal,
     make_packing,
     opposite,
-    overlaps,
     param_of,
     phi_grid,
     shift_of,
@@ -39,7 +38,6 @@ __all__ = [
     "literal",
     "make_packing",
     "opposite",
-    "overlaps",
     "param_of",
     "phi_grid",
     "shift_of",

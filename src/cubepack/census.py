@@ -418,14 +418,14 @@ def laminated_mass(records):
     return sum((r.prob for r in records if laminated(r.rep)), Fraction(0))
 
 
-def _positive_cubes(sub, cubes, bound=None):
+def _positive_cubes(sub, cubes, bound):
     """The keys k of cubes, a {k: cube} map, whose insertion into sub is a
     positive step, and sub's best fresh-parameter count: a positive cube
     adds as many fresh parameters as the best extension class of sub.
     ([], None) when sub is non-extensible.
 
-    bound, when given, is max_nb of a packing sub extends, and every cube
-    of cubes is addable to sub.  max_nb never rises when a cube is added:
+    bound is max_nb of a packing sub extends, and every cube of cubes is
+    addable to sub.  max_nb never rises when a cube is added:
     a class of the larger packing, with its literals of parameters the
     smaller one lacks turned into FRESH, is a class of the smaller one
     with nb at least as large.  An addable cube is a class of sub, so the cubes' best count
@@ -438,7 +438,7 @@ def _positive_cubes(sub, cubes, bound=None):
                for c, s in zip(cube, sets))
         for k, cube in cubes.items()
     }
-    if bound is not None and max(counts.values()) == bound:
+    if max(counts.values()) == bound:
         best = bound
     else:
         best = max_nb(sub)
@@ -453,14 +453,17 @@ def replay_is_positive(p, order=None):
 
     A step keeps positive probability exactly when the inserted cube's
     new-parameter count equals the maximum over the extension classes of
-    the prefix.
+    the prefix.  Each step's best count bounds the next, as in
+    positive_path_exists, starting at p.dim; p must be a valid packing.
     """
     idx = list(range(p.m)) if order is None else list(order)
     if sorted(idx) != list(range(p.m)):
         raise ValueError("order must be a permutation of the cube indices")
     sub = empty_packing(p.space, p.dim)
+    best = p.dim
     for i in idx:
-        if not _positive_cubes(sub, {i: p.cubes[i]})[0]:
+        keys, best = _positive_cubes(sub, {i: p.cubes[i]}, best)
+        if not keys:
             return False
         sub = add_cube(sub, p.cubes[i])
     return True

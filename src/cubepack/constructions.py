@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from .model import (
@@ -112,12 +111,16 @@ def dihedral_perms(n):
     return out
 
 
-def _conjugate(g, sigma):
-    n = len(g)
-    ginv = [0] * n
+def _inverse(g):
+    inv = [0] * len(g)
     for i, v in enumerate(g):
-        ginv[v] = i
-    return tuple(g[sigma[ginv[i]]] for i in range(n))
+        inv[v] = i
+    return tuple(inv)
+
+
+def _conjugate(g, sigma):
+    ginv = _inverse(g)
+    return tuple(g[sigma[ginv[i]]] for i in range(len(g)))
 
 
 def hn_tiling(n):
@@ -126,8 +129,9 @@ def hn_tiling(n):
     Starts from the n rows of h_matrix(n) plus the same rows with the
     diagonal entry shifted, then adds one cube per permutation in the
     dihedral-conjugation orbits of the bundled cycle-notation table for n
-    (completion_perms): the cube for sigma takes, in each coordinate j, the
-    shifted partner of row sigma^-1(j)'s entry.
+    (completion_perms), whose entries are the inverses of these sigma: the
+    cube for sigma takes, in each coordinate j, the shifted partner of row
+    sigma^-1(j)'s entry.
 
     Args:
         n: 3, 5, 7 or 9.
@@ -146,13 +150,11 @@ def hn_tiling(n):
         cubes.append(tuple(row))
     orbit = set()
     for s in completion_perms()[str(n)]:
-        sigma = parse_cycles(s, n)
+        sigma = _inverse(parse_cycles(s, n))
         for g in dihedral_perms(n):
             orbit.add(_conjugate(g, sigma))
     for sigma in sorted(orbit):
-        inv = [0] * n
-        for i, v in enumerate(sigma):
-            inv[v] = i
+        inv = _inverse(sigma)
         cubes.append(tuple(opposite(base.cubes[inv[j]][j]) for j in range(n)))
     if len(cubes) != 2 ** n:
         raise ConstructionError(
@@ -167,16 +169,9 @@ def hn_tiling(n):
     return p
 
 
-@dataclass(frozen=True)
-class OneFactorization:
-    """Perfect matchings partitioning the edges of a complete graph."""
-
-    vertices: int
-    matchings: tuple
-
-
 def one_factorization(v):
-    """Round-robin 1-factorization of the complete graph on v vertices.
+    """Round-robin 1-factorization of the complete graph on v vertices: the
+    tuple of its v - 1 perfect matchings, each a sorted tuple of edges.
 
     Vertex v-1 stays fixed; round r pairs it with r and pairs (r+i, r-i)
     mod v-1 for i = 1..v/2-1.
@@ -191,21 +186,22 @@ def one_factorization(v):
             b = (r - i) % (v - 1)
             edges.append(tuple(sorted((a, b))))
         rounds.append(tuple(sorted(edges)))
-    return OneFactorization(v, tuple(rounds))
+    return tuple(rounds)
 
 
-def factorization_packing(f):
+def factorization_packing(matchings):
     """Packing with one cube per vertex and one coordinate per matching.
 
-    The edge {u, w} of matching j becomes a parameter occurring as t in cube
-    u and t+1 in cube w, so any two cubes block each other exactly in the
+    matchings is a 1-factorization of the complete graph on n + 1
+    vertices, n = len(matchings), as one_factorization returns it.  The
+    edge {u, w} of matching j becomes a parameter occurring as t in cube u
+    and t+1 in cube w, so any two cubes block each other exactly in the
     coordinate of the matching containing their edge.
     """
-    v = f.vertices
-    n = v - 1
-    grid = [[None] * n for _ in range(v)]
+    n = len(matchings)
+    grid = [[None] * n for _ in range(n + 1)]
     t = 0
-    for j, matching in enumerate(f.matchings):
+    for j, matching in enumerate(matchings):
         for u, w in matching:
             grid[u][j] = literal(t, 0)
             grid[w][j] = literal(t, 1)

@@ -3,7 +3,9 @@
 A packing is a family of unit cubes whose corner coordinates are symbolic:
 on the torus every coordinate is a parameter literal (t or t+1), in the cube
 case a coordinate is 0, 1, or an interior parameter.  Two cubes may coexist
-exactly when some coordinate separates them by 1.
+exactly when some coordinate separates them by 1: their codes there are a
+blocking pair, code and code ^ 1.  One scan, _first_overlap, applies that
+rule for validate and phi_grid; grid_blocks states it on grid indices.
 """
 
 import json
@@ -62,7 +64,6 @@ class Violation:
     kind: str
     detail: str
     cubes: tuple = ()
-    coordinate: int | None = None
 
 
 @dataclass(frozen=True)
@@ -95,48 +96,59 @@ class Packing:
         return self.param_coord[-1][0] + 1 if self.param_coord else 0
 
 
-def make_packing(space, dim, cubes):
-    """Build a Packing from raw coordinate-code tuples, deriving ownership."""
-    owner = {}
-    frozen = []
+def _param_coord(owner, cubes):
+    """The (param, coordinate) pairs of owner, a {param: coordinate} map,
+    with each parameter of cubes it lacks added at its first coordinate."""
     for cube in cubes:
-        frozen.append(tuple(cube))
-        for j, code in enumerate(frozen[-1]):
+        for j, code in enumerate(cube):
             if is_literal(code):
                 owner.setdefault(param_of(code), j)
-    return Packing(space, dim, tuple(frozen), tuple(sorted(owner.items())))
+    return tuple(sorted(owner.items()))
+
+
+def make_packing(space, dim, cubes):
+    """Build a Packing from raw coordinate-code tuples, deriving ownership."""
+    cubes = tuple(map(tuple, cubes))
+    return Packing(space, dim, cubes, _param_coord({}, cubes))
 
 
 def add_cube(p, coords):
     """p with one more cube; the cube's unseen parameters join param_coord
     at their first coordinate, as make_packing would record them."""
     cube = tuple(coords)
-    owner = dict(p.param_coord)
-    for j, code in enumerate(cube):
-        if is_literal(code):
-            owner.setdefault(param_of(code), j)
     return Packing(p.space, p.dim, p.cubes + (cube,),
-                   tuple(sorted(owner.items())))
+                   _param_coord(dict(p.param_coord), (cube,)))
 
 
 def empty_packing(space, dim):
     return make_packing(space, dim, ())
 
 
-def overlaps(a, b, space):
-    """Whether two cubes overlap.
+def _first_overlap(cubes):
+    """The first pair (i, j), i < j, of overlapping cubes, or None.
 
-    Non-overlap holds iff some coordinate carries a blocking pair: opposite
-    literals of one parameter (torus) or the 0/1 boundary pair (cube).  Both
-    pairs have xor signature 1 under the coordinate encoding, so the test is
-    space-uniform on valid coordinates.
+    Two cubes are apart iff some coordinate carries a blocking pair:
+    opposite literals of one parameter, or the boundary pair ZERO and ONE.
+    Both pairs are a code and its partner code ^ 1, so the scan is the same
+    in both spaces, for codes valid in their space.  Per coordinate, each
+    code maps to the bit mask of the cubes holding it; cube i is apart from
+    the holders of its codes' partners, so the later cubes outside them
+    are those it overlaps.
     """
-    if len(a) != len(b):
-        raise DimensionError(f"cube lengths {len(a)} and {len(b)} differ")
-    for x, y in zip(a, b):
-        if (x ^ y) == 1:
-            return False
-    return True
+    holders = [{} for _ in cubes[0]] if cubes else []
+    for i, cube in enumerate(cubes):
+        for held, code in zip(holders, cube):
+            held[code] = held.get(code, 0) | 1 << i
+    later = (1 << len(cubes)) - 1
+    for i, cube in enumerate(cubes):
+        later ^= 1 << i
+        apart = 0
+        for held, code in zip(holders, cube):
+            apart |= held.get(code ^ 1, 0)
+        clash = later & ~apart
+        if clash:
+            return i, (clash & -clash).bit_length() - 1
+    return None
 
 
 def _coordinate_ok(code, space):
@@ -156,7 +168,7 @@ def validate(p):
             return Violation("dimension", f"cube {i} has length {len(cube)}, expected {p.dim}", cubes=(i,))
         for j, code in enumerate(cube):
             if not _coordinate_ok(code, p.space):
-                return Violation("coordinate-space", f"cube {i}, coordinate {j}: code {code} is invalid for {p.space}", cubes=(i,), coordinate=j)
+                return Violation("coordinate-space", f"cube {i}, coordinate {j}: code {code} is invalid for {p.space}", cubes=(i,))
     owner = {}
     for i, cube in enumerate(p.cubes):
         for j, code in enumerate(cube):
@@ -165,11 +177,10 @@ def validate(p):
                 if q not in owner:
                     owner[q] = j
                 elif owner[q] != j:
-                    return Violation("param-coordinate", f"parameter {q} occurs in coordinates {owner[q]} and {j}", coordinate=j)
-    for i in range(len(p.cubes)):
-        for k in range(i + 1, len(p.cubes)):
-            if overlaps(p.cubes[i], p.cubes[k], p.space):
-                return Violation("overlap", f"cubes {i} and {k} overlap", cubes=(i, k))
+                    return Violation("param-coordinate", f"parameter {q} occurs in coordinates {owner[q]} and {j}")
+    pair = _first_overlap(p.cubes)
+    if pair is not None:
+        return Violation("overlap", "cubes %d and %d overlap" % pair, cubes=pair)
     if len(p.cubes) > 2 ** p.dim:
         return Violation("cube-count", f"{len(p.cubes)} cubes exceed 2^{p.dim}")
     return None
@@ -194,79 +205,49 @@ def phi_grid(kvecs, N, space):
     mod 2N on the torus, in 0..N in the cube.  Parameters are numbered in
     first-occurrence order: one per (coordinate, residue mod N) on the
     torus, one per (coordinate, interior index) in the cube.
+
+    The overlap check is validate's scan on the numbered codes: phi sends
+    a blocking grid pair, and nothing else, to a code and its partner
+    code ^ 1.  On the torus x and y block iff they share a residue with
+    shifts 0 and 1; in the cube only the faces 0 and N block, and they go
+    to ZERO and ONE, while an interior index goes to a shift-0 literal.
     """
     n = None
-    rows = []
+    params = {}
+    cubes = []
     for vec in kvecs:
         vec = tuple(vec)
         if n is None:
             n = len(vec)
         elif len(vec) != n:
             raise DimensionError("discrete cubes of mixed dimension")
-        if space == CUBE:
-            for k in vec:
-                if not 0 <= k <= N:
-                    raise InvalidDiscretePackingError(f"corner {k}/{N} leaves [0,1], cube sticks out of [0,2]")
-            rows.append(vec)
-        else:
-            rows.append(tuple(k % (2 * N) for k in vec))
-    if n is None:
-        raise DimensionError("empty discrete packing has no dimension")
-    # per coordinate, each grid value -> the bit mask of the cubes holding
-    # it; cube i is apart from the holders of its values' partners
-    holders = [{} for _ in range(n)]
-    for i, vec in enumerate(rows):
-        for held, k in zip(holders, vec):
-            held[k] = held.get(k, 0) | 1 << i
-    later = (1 << len(rows)) - 1
-    for i, vec in enumerate(rows):
-        later ^= 1 << i
-        apart = 0
-        for held, k in zip(holders, vec):
-            apart |= held.get(grid_partner(k, N, space), 0)
-        clash = later & ~apart
-        if clash:
-            j = (clash & -clash).bit_length() - 1
-            raise InvalidDiscretePackingError(f"discrete cubes {i} and {j} overlap")
-    params = {}
-    cubes = []
-    for vec in rows:
         row = []
         for j, k in enumerate(vec):
-            if space == CUBE:
-                if k == 0:
-                    row.append(ZERO)
-                elif k == N:
-                    row.append(ONE)
-                else:
-                    key = (j, k)
-                    if key not in params:
-                        params[key] = len(params)
-                    row.append(literal(params[key], 0))
+            if space != CUBE:
+                k %= 2 * N
+                row.append(literal(params.setdefault((j, k % N), len(params)), k // N))
+            elif not 0 <= k <= N:
+                raise InvalidDiscretePackingError(f"corner {k}/{N} leaves [0,1], cube sticks out of [0,2]")
+            elif k in (0, N):
+                row.append(ZERO if k == 0 else ONE)
             else:
-                residue, shift = k % N, k // N
-                key = (j, residue)
-                if key not in params:
-                    params[key] = len(params)
-                row.append(literal(params[key], shift))
+                row.append(literal(params.setdefault((j, k), len(params))))
         cubes.append(tuple(row))
+    if n is None:
+        raise DimensionError("empty discrete packing has no dimension")
+    pair = _first_overlap(cubes)
+    if pair is not None:
+        raise InvalidDiscretePackingError("discrete cubes %d and %d overlap" % pair)
     return make_packing(space, n, cubes)
 
 
-def grid_partner(x, N, space):
-    """The grid index that forms a blocking pair with x in one coordinate,
-    or None: x + N mod 2N on the torus, the other face for a face 0 or N
-    in the cube (an interior index blocks nothing)."""
-    if space == TORUS:
-        return (x + N) % (2 * N)
-    return N - x if x in (0, N) else None
-
-
 def grid_blocks(x, y, N, space):
-    """Whether grid indices x and y of one coordinate form a blocking pair."""
+    """Whether grid indices x and y of one coordinate form a blocking pair:
+    (x - y) mod 2N = N on the torus, the faces 0 and N in the cube (an
+    interior index blocks nothing)."""
     if space == TORUS:
-        y %= 2 * N
-    return y == grid_partner(x, N, space)
+        return (x - y) % (2 * N) == N
+    return x in (0, N) and x + y == N
 
 
 def grid_overlaps(a, b, N, space):
@@ -316,10 +297,8 @@ def _is_int(v):
 
 
 def _code_from_json(c):
-    if c == 0:
-        return ZERO
-    if c == 1:
-        return ONE
+    if _is_int(c) and c in (0, 1):
+        return ZERO if c == 0 else ONE
     if not isinstance(c, dict):
         raise ValueError(f"bad coordinate {c!r} in packing JSON")
     for field in ("p", "s"):
@@ -327,9 +306,9 @@ def _code_from_json(c):
             raise ValueError(f"literal {c!r} in packing JSON lacks the field {field!r}")
     if not _is_int(c["p"]) or c["p"] < 0:
         raise ValueError(f"literal {c!r} in packing JSON: 'p' is not an integer >= 0")
-    if c["s"] not in (0, 1):
+    if not _is_int(c["s"]) or c["s"] not in (0, 1):
         raise ValueError(f"literal {c!r} in packing JSON: 's' is not 0 or 1")
-    return literal(c["p"], int(c["s"]))
+    return literal(c["p"], c["s"])
 
 
 def dumps(p, indent=None):

@@ -12,6 +12,7 @@ reference_symmetry_group and root_orbit_labels, the former per-combination
 loop of discrete.symmetry_group and the former orbit names of the cover
 search's root cut.  reference_min_matrix_order is the former tie search of
 discrete.blocking_class_key, which tried every unused cube at each step.
+pairwise_first_overlap is the former pair loop of model.validate.
 """
 
 from dataclasses import dataclass
@@ -142,6 +143,16 @@ def pairwise_phi_grid(kvecs, N, space):
                 row.append(literal(params[key], shift))
         cubes.append(tuple(row))
     return make_packing(space, n, cubes)
+
+
+def pairwise_first_overlap(cubes):
+    """The first pair (i, j), i < j, of overlapping cubes, or None, over all
+    pairs: two cubes are apart iff some coordinate holds codes with xor 1."""
+    for i in range(len(cubes)):
+        for j in range(i + 1, len(cubes)):
+            if not any((x ^ y) == 1 for x, y in zip(cubes[i], cubes[j])):
+                return i, j
+    return None
 
 
 def count_addable_positions(anchors, dim, N, space):

@@ -157,6 +157,10 @@ def test_construct_hmatrix_and_hn():
     assert code == 0
     p = loads(text)
     assert p.m == 8 and p.nparams == 6
+    code, text = run(["construct", "--hn-tiling", "9"])
+    assert code == 0
+    p = loads(text)
+    assert p.m == 512 and p.nparams == 45
 
 
 def test_canon_subcommand():
@@ -233,6 +237,13 @@ def test_verify_detects_drift(monkeypatch, capsys):
 # Arguments "json:TEXT" of test_exit_codes stand for a file holding TEXT.
 _LITERAL_WITHOUT_S = 'json:{"space": "torus", "dim": 1, "cubes": [[{"p": 0}]]}'
 _DIM_NOT_INT = 'json:{"space": "torus", "dim": "x", "cubes": []}'
+# a boolean or a float where a code or a shift must be the integer 0 or 1
+_NON_INT_CODES = ['json:{"space": "cube", "dim": 1, "cubes": [[%s]]}' % code
+                  for code in ("false", "0.0", "true")]
+_NON_INT_SHIFTS = [
+    'json:{"space": "torus", "dim": 1, "cubes": [[{"p": 0, "s": %s}]]}' % s
+    for s in ("true", "1.0")
+]
 # two copies of one 1-D torus cube, which overlap
 _OVERLAPPING = ('json:{"space": "torus", "dim": 1, '
                 '"cubes": [[{"p": 0, "s": 0}], [{"p": 0, "s": 0}]]}')
@@ -368,6 +379,9 @@ _JSON = st.recursive(
         (["construct", "--product", "dir:", "dir:"], 1),
         (["enumerate", "--space", "torus", "--dim", "2",
           "--checkpoint", "dir:"], 1),
+        *[(["canon", "--in", bad], 1)
+          for bad in _NON_INT_CODES + _NON_INT_SHIFTS],
+        *[(["construct", "--product", bad, bad], 1) for bad in _NON_INT_SHIFTS],
     ],
 )
 def test_exit_codes(argv, expected, capsys, tmp_path):
@@ -427,7 +441,8 @@ def _invalid_packing_json(data):
         literal["p"] = data.draw(_JSON.filter(
             lambda v: not (type(v) is int and v >= 0)))
     else:
-        literal["s"] = data.draw(_JSON.filter(lambda v: v not in (0, 1)))
+        literal["s"] = data.draw(_JSON.filter(
+            lambda v: not (type(v) is int and v in (0, 1))))
     return obj
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -181,6 +183,25 @@ def test_hn_tiling_five():
     assert validate(p) is None and is_tiling(p)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_hn_tiling_is_a_minimal_parameter_tiling(n):
+    p = hn_tiling(n)
+    assert validate(p) is None and is_tiling(p)
+    assert (p.m, p.nparams) == (2 ** n, n * (n + 1) // 2)
+
+
+# sha256 of the JSON of the cube tuples of hn_tiling(3) and hn_tiling(5),
+# as built before the table's permutations were read as their inverses
+HN_CUBES_DIGEST = "816d893453e7ae32baad5c634401e891073790c2a1309f89ba100b7853a84a61"
+
+
+def test_hn_tiling_cubes_are_pinned():
+    # the orbits at n = 3 and 5 are closed under inversion
+    cubes = [hn_tiling(n).cubes for n in (3, 5)]
+    digest = hashlib.sha256(json.dumps(cubes).encode()).hexdigest()
+    assert digest == HN_CUBES_DIGEST
+
+
 def test_hn_tiling_rejects_bad_perms(monkeypatch, tmp_path):
     # a completion table whose orbits do not fill the tiling
     (tmp_path / "table4").mkdir()
@@ -196,10 +217,10 @@ def test_hn_tiling_rejects_bad_perms(monkeypatch, tmp_path):
 
 def test_one_factorization_partitions_edges():
     for v in (4, 6, 8):
-        f = one_factorization(v)
-        assert len(f.matchings) == v - 1
+        matchings = one_factorization(v)
+        assert len(matchings) == v - 1
         seen = set()
-        for matching in f.matchings:
+        for matching in matchings:
             covered = set()
             for a, b in matching:
                 assert a < b

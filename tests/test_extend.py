@@ -314,7 +314,7 @@ def test_max_nb_matches_oracle_on_positive_path_states(monkeypatch):
         walks += 1
         return real_max_nb(p)
 
-    def record(sub, cubes, bound=None):
+    def record(sub, cubes, bound):
         before = walks
         keys, best = real_step(sub, cubes, bound)
         seen[sub] = None

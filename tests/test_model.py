@@ -10,6 +10,7 @@ from helpers import (
     brute_coordinate_params,
     grid_blocked,
     normalize_params,
+    pairwise_first_overlap,
     pairwise_phi_grid,
     random_packing,
     realize,
@@ -43,7 +44,6 @@ from cubepack.model import (
     loads,
     make_packing,
     opposite,
-    overlaps,
     param_of,
     phi_grid,
     save_file,
@@ -66,25 +66,55 @@ def test_literal_codes_round_trip():
     assert opposite(ONE) == ZERO
 
 
+def _overlapping(space, a, b):
+    """Whether validate reports the two cubes a and b as overlapping; it
+    must otherwise accept them."""
+    v = validate(make_packing(space, len(a), [a, b]))
+    assert v is None or (v.kind, v.detail, v.cubes) == (
+        "overlap", "cubes 0 and 1 overlap", (0, 1))
+    return v is not None
+
+
 def test_opposite_literals_block_overlap():
     # (t1, t2, t3) and (t1+1, t4, t5) are blocked in the first coordinate
     a = (T(0), T(1), T(2))
     b = (T(0, 1), T(3), T(4))
-    assert not overlaps(a, b, TORUS)
-    assert not overlaps((T(0), T(1)), (T(0), T(1, 1)), TORUS)
-    assert overlaps((T(0), T(1)), (T(2), T(3)), TORUS)
-    assert overlaps(a, a, TORUS)
+    assert not _overlapping(TORUS, a, b)
+    assert not _overlapping(TORUS, (T(0), T(1)), (T(0), T(1, 1)))
+    assert _overlapping(TORUS, (T(0), T(1)), (T(2), T(3)))
+    assert _overlapping(TORUS, a, a)
 
 
 def test_boundary_pair_blocks_overlap_in_cube_space():
-    assert not overlaps((ZERO, T(0)), (ONE, T(1)), CUBE)
-    assert overlaps((ZERO, T(0)), (ZERO, T(1)), CUBE)
-    assert overlaps((T(0), T(1)), (T(2), T(3)), CUBE)
+    assert not _overlapping(CUBE, (ZERO, T(0)), (ONE, T(1)))
+    assert _overlapping(CUBE, (ZERO, T(0)), (ZERO, T(1)))
+    assert _overlapping(CUBE, (T(0), T(1)), (T(2), T(3)))
 
 
-def test_overlap_requires_equal_dimension():
-    with pytest.raises(DimensionError):
-        overlaps((T(0),), (T(1), T(2)), TORUS)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    space=st.sampled_from((TORUS, CUBE)),
+    dim=st.integers(1, 4),
+    steps=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    copies=st.integers(0, 2),
+)
+def test_validate_reports_the_pairwise_first_overlap(space, dim, steps, seed,
+                                                     copies):
+    # a packing with copies of its cubes planted at random indices: each
+    # copy overlaps its original, and validate names the first such pair
+    rng = random.Random(seed)
+    cubes = list(random_packing(rng, space, dim, steps).cubes)
+    for _ in range(copies):
+        cubes.insert(rng.randrange(len(cubes) + 1), rng.choice(cubes))
+    q = make_packing(space, dim, cubes)
+    first = pairwise_first_overlap(q.cubes)
+    assert (first is None) == (copies == 0)
+    v = validate(q)
+    if first is None:
+        assert v is None
+    else:
+        assert (v.kind, v.cubes) == ("overlap", first)
 
 
 def test_validate_accepts_torus_packing():
@@ -279,6 +309,18 @@ def test_json_round_trips_keep_the_packing_and_its_key(space, dim, steps,
     for q in (loads(dumps(p)), from_json_obj(to_json_obj(p))):
         assert q == p
         assert search(q) == key
+
+
+@pytest.mark.parametrize(
+    "space, code",
+    [(CUBE, False), (CUBE, 0.0), (CUBE, True),
+     (TORUS, {"p": 0, "s": True}), (TORUS, {"p": 0, "s": 1.0})],
+)
+def test_from_json_obj_rejects_non_integer_codes(space, code):
+    # a bare code and a shift must be the integers 0 or 1, as "p" and
+    # "dim" must be integers
+    with pytest.raises(ValueError):
+        from_json_obj({"space": space, "dim": 1, "cubes": [[code]]})
 
 
 def test_json_file_round_trip(tmp_path):

@@ -9,6 +9,8 @@ or in perfbench/ must pass each option of a public def, a parameter with a
 default whose name is not private.  Every private top-level def or class
 must be read by some package module outside its definition, so a helper a
 deletion leaves behind fails here.  No module imports a name it never reads.
+Every annotated field of a top-level class must be read as an attribute by
+a package module, by perfbench/ or by the tests.
 """
 
 import ast
@@ -168,3 +170,28 @@ def test_every_option_has_a_caller_outside_the_tests():
                 if not any(_passes(t, node.name, param, index, node)
                            for t in everywhere)]
     assert sorted(unpassed) == sorted(KEPT_OPTIONS)
+
+
+def _fields(tree):
+    """(class, field) of each annotated field of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)):
+                    yield node.name, stmt.target.id
+
+
+def test_every_field_is_read():
+    # a field nothing reads is state every constructor fills for no one
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+             *(ROOT / "tests").glob("*.py")]
+    read = {node.attr
+            for path in sorted(paths)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [(module, cls, field)
+              for module, tree in _package_trees().items()
+              for cls, field in _fields(tree) if field not in read]
+    assert unread == []
