@@ -190,13 +190,13 @@ def test_hn_tiling_is_a_minimal_parameter_tiling(n):
     assert (p.m, p.nparams) == (2 ** n, n * (n + 1) // 2)
 
 
-# sha256 of the JSON of the cube tuples of hn_tiling(3) and hn_tiling(5),
-# as built before the table's permutations were read as their inverses
+# sha256 of the JSON of the cube tuples of hn_tiling(3) and hn_tiling(5).
+# Their table orbits are closed under inversion, so these cubes do not
+# depend on whether the table's permutations are read as inverses.
 HN_CUBES_DIGEST = "816d893453e7ae32baad5c634401e891073790c2a1309f89ba100b7853a84a61"
 
 
 def test_hn_tiling_cubes_are_pinned():
-    # the orbits at n = 3 and 5 are closed under inversion
     cubes = [hn_tiling(n).cubes for n in (3, 5)]
     digest = hashlib.sha256(json.dumps(cubes).encode()).hexdigest()
     assert digest == HN_CUBES_DIGEST
