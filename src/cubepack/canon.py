@@ -7,6 +7,8 @@ Canonical labeling is individualization-refinement with orbit pruning
 (McKay, "Practical graph isomorphism", 1981).  Refinement queues only the
 splitters that can split: at the root the colour classes encode does not
 prove equitable, and after a split every part but the last (_refine).  A
+node branches on its first largest non-singleton cell, looked for only
+among its parent's non-singleton cells, which hold all of its own.  A
 key holds the search's automorphism generators.  class_orbit_leaders maps
 a packing's extension classes through the generators its caller passes,
 so a sweep whose states carry their keys builds one child per orbit of
@@ -14,7 +16,9 @@ classes.  group_order computes the group order from them on each call, so
 a caller that only compares keys never pays for it.  The order comes from
 a sift-and-close stabilizer chain, which undercounts some groups (see
 _PermGroup); the orbit map needs only that each generator is an
-automorphism.
+automorphism.  The chain converts each generator to intp once and keeps
+the products it has still to sift as factor pairs, composing each when it
+is popped, so its peak memory stays that of the narrow-row chain.
 
 Leaves of the search are compared by a certificate: the relabelled edges as
 row-major slots a*nv+b (a < b), ascending and negated.  It orders leaves
@@ -202,7 +206,11 @@ def _refine(adj, lab, cell_of, cell_end, work, cells):
     equitable with respect to the cell {v} + rest.  The root refinement
     queues every colour class but those encode proves equitable, and the
     search individualizes in a refined, hence equitable, partition, so
-    both calls meet it.  Under it the splits are exactly those of the
+    both calls meet it.  Two more preconditions serve the singleton
+    shortcut below: each cell's segment of lab is ascending, and so is
+    each row of adj.  encode sorts its rows, and _initial_partition, the
+    search's {v} + rest and every split here write ascending segments.
+    Under the first precondition the splits are exactly those of the
     plain rule (every part queued, and the input cells not in work queued
     after it), in its order, because every splitter it processes that is
     left out here splits nothing and queues nothing:
@@ -230,7 +238,9 @@ def _refine(adj, lab, cell_of, cell_end, work, cells):
         elsewhere, the graph being simple (no loops, no repeated
         neighbors).  So a fully touched cell stays whole, and any other
         touched cell splits into its untouched vertices, then its touched
-        ones, each in label order;
+        ones, each in label order.  The touched ones are the cell's
+        neighbors of w in the order adj[w] lists them, already ascending,
+        so one pass over the cell collects the untouched ones;
       - once every cell is a singleton nothing can split, so the splitters
         still queued are dropped.
     """
@@ -268,8 +278,9 @@ def _refine(adj, lab, cell_of, cell_end, work, cells):
                     continue
             cell = lab[start:end]
             if single:
-                parts = ([u for u in cell if not cnt[u]],
-                         [u for u in cell if cnt[u]])
+                # cell and members are both ascending (the preconditions),
+                # so members is the touched part in label order
+                parts = ([u for u in cell if not cnt[u]], members)
             else:
                 groups = {}
                 for u in cell:
@@ -322,9 +333,11 @@ class _Canonicalizer:
         self.adj = graph.adj
         self.colors = graph.colors
         self.nv = len(graph.colors)
-        self.edges = [
+        edges = [
             (u, w) for u, nbrs in enumerate(graph.adj) for w in nbrs if u < w
         ]
+        self.us = [u for u, _ in edges]
+        self.ws = [w for _, w in edges]
         self.best_cert = None
         self.best_perm = None
         self.gens = []
@@ -340,24 +353,32 @@ class _Canonicalizer:
         cells, (lab, cell_of, cell_end) = _initial_partition(self.colors)
         work = deque(c for c in cells if self.colors[c[0]] in self.root_colors)
         ncells = _refine(self.adj, lab, cell_of, cell_end, work, len(cells))
-        self._search(lab, cell_of, cell_end, ncells, (), [], 0)
+        self._search(lab, cell_of, cell_end, ncells, ((0, self.nv),), (),
+                     [], 0)
         return self._bitmap(self.best_cert), self.gens
 
-    def _search(self, lab, cell_of, cell_end, cells, prefix, stab, seen):
-        """Search below one node of the given number of cells; stab lists
-        the generators of self.gens[:seen] that fix every vertex of prefix,
-        in their order."""
+    def _search(self, lab, cell_of, cell_end, cells, spans, prefix, stab,
+                seen):
+        """Search below one node of the given number of cells; spans holds
+        the (start, end) of the parent's non-singleton cells, ascending,
+        and stab the generators of self.gens[:seen] that fix every vertex
+        of prefix, in their order."""
         if cells == self.nv:
             self._leaf(lab)
             return
-        # Branch on the first largest non-singleton cell.
+        # Branch on the first largest non-singleton cell.  The node's cells
+        # refine its parent's, so every one of them that is not a singleton
+        # lies in a span, and the spans are scanned in cell order.
+        open_cells = []
         target, size = None, 1
-        s = 0
-        while s < self.nv:
-            e = cell_end[s]
-            if e - s > size:
-                target, size = s, e - s
-            s = e
+        for s, end in spans:
+            while s < end:
+                e = cell_end[s]
+                if e - s > 1:
+                    open_cells.append((s, e))
+                    if e - s > size:
+                        target, size = s, e - s
+                s = e
         end = target + size
         # The orbit of the processed children under stab, grown as both
         # grow; only generators found since seen need the prefix check.
@@ -383,7 +404,7 @@ class _Canonicalizer:
             # precondition and its last-part rule).
             ccells = _refine(self.adj, clab, ccell, cend, deque([[v]]),
                              cells + 1)
-            self._search(clab, ccell, cend, ccells, prefix + (v,),
+            self._search(clab, ccell, cend, ccells, open_cells, prefix + (v,),
                          [g for g in stab if g[v] == v], seen)
             orbit.add(v)
             _close(orbit, [v], stab)
@@ -409,15 +430,12 @@ class _Canonicalizer:
         bitmap: these lists compare exactly like the bitmaps of _bitmap.
         """
         nv = self.nv
-        pos = [0] * nv
-        for i, v in enumerate(perm):
-            pos[v] = i
-        slots = []
-        for u, w in self.edges:
-            a, b = pos[u], pos[w]
-            slots.append(a * nv + b if a < b else b * nv + a)
-        slots.sort()
-        return [-s for s in slots]
+        # pos(v) is v's position in perm
+        pos = sorted(range(nv), key=perm.__getitem__).__getitem__
+        cert = [-(a * nv + b if a < b else b * nv + a)
+                for a, b in zip(map(pos, self.us), map(pos, self.ws))]
+        cert.sort(reverse=True)
+        return cert
 
     def _bitmap(self, cert):
         """The key bytes: the certificate's upper-triangle adjacency bitmap.
@@ -448,12 +466,20 @@ def _close(orbit, stack, gens):
 class _PermGroup:
     """Stabilizer chain with base 0..n-1, grown by sift-and-close.
 
-    Permutations are numpy index arrays, composed as a[b] (apply b, then a).
-    trans[i] maps an image of point i to a transversal entry and its inverse.
-    A new residue is closed only against the entries at its level and below,
-    so products with higher-level entries are missed and the order can come
-    out too small: 32 for the rod fixture, whose group has order 48.  Every
-    pinned aut value is this algorithm's; the fix is ROADMAP item 12.
+    Permutations are numpy intp index arrays, composed as a[b] (apply b,
+    then a); add converts a generator once, so no sift or product casts a
+    narrower row again.  trans[i] maps an image of point i to a transversal
+    entry and its inverse.  A new residue is closed only against the
+    entries at its level and below, so products with higher-level entries
+    are missed and the order can come out too small: 32 for the rod
+    fixture, whose group has order 48.  Every pinned aut value is this
+    algorithm's; the fix is ROADMAP item 12.
+
+    The stack holds the factor pairs (a, b) of the products still to sift
+    and composes each as it is popped, in the order an eager stack would
+    have built them.  Eager intp products held hundreds of rows at once on
+    the census workload's largest groups: peak_rss_mb 39.4 MiB against
+    36.3-36.4 MiB for the pairs.
     """
 
     def __init__(self, n):
@@ -472,9 +498,10 @@ class _PermGroup:
             g = entry[1][g]
 
     def add(self, g):
-        stack = [np.asarray(g)]
+        stack = [(self.ident, np.asarray(g, dtype=np.intp))]
         while stack:
-            lvl, res = self._sift(stack.pop())
+            a, b = stack.pop()
+            lvl, res = self._sift(a[b])
             if lvl is None:
                 continue
             inv = np.empty_like(res)
@@ -482,8 +509,8 @@ class _PermGroup:
             self.trans[lvl][int(res[lvl])] = (res, inv)
             for l in range(lvl + 1):
                 for u, _ in list(self.trans[l].values()):
-                    stack.append(u[res])
-                    stack.append(res[u])
+                    stack.append((u, res))
+                    stack.append((res, u))
 
     def order(self):
         o = 1

@@ -212,6 +212,10 @@ def phi_grid(kvecs, N, space):
     shifts 0 and 1; in the cube only the faces 0 and N block, and they go
     to ZERO and ONE, while an interior index goes to a shift-0 literal.
     """
+    if space not in (TORUS, CUBE):
+        raise ValueError(f"unknown space {space!r}")
+    if N < 1:
+        raise ValueError(f"grid resolution N must be >= 1, got {N}")
     n = None
     params = {}
     cubes = []

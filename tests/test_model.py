@@ -187,6 +187,18 @@ def test_phi_rejects_overlapping_discrete_cubes():
         phi_grid([(0,), (1,)], 2, TORUS)
 
 
+def test_phi_rejects_an_unknown_space_and_an_empty_grid():
+    # checked before any row is read, with SimConfig's and
+    # discrete._check_grid's messages
+    with pytest.raises(ValueError, match="unknown space 'bogus'"):
+        phi_grid([(0,)], 2, "bogus")
+    for space in (TORUS, CUBE):
+        for N in (0, -1):
+            with pytest.raises(ValueError,
+                               match=f"grid resolution N must be >= 1, got {N}"):
+                phi_grid([(0,)], N, space)
+
+
 @st.composite
 def _grid_rows(draw):
     # random anchors overlap almost always; kept=True grows a packing of
