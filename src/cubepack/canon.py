@@ -18,7 +18,7 @@ a sift-and-close stabilizer chain, which undercounts some groups (see
 _PermGroup); the orbit map needs only that each generator is an
 automorphism.  The chain converts each generator to intp once and keeps
 the products it has still to sift as factor pairs, composing each when it
-is popped, so its peak memory stays that of the narrow-row chain.
+is popped, so its peak memory stays near that of a narrow-row chain.
 
 Leaves of the search are compared by a certificate: the relabelled edges as
 row-major slots a*nv+b (a < b), ascending and negated.  It orders leaves
@@ -60,9 +60,9 @@ CUBE_ROOT_SPLITTERS = (COLOR_LITERAL, COLOR_CELL, COLOR_BOUNDARY)
 
 # Largest dimension the canonical form accepts: the search recurses once per
 # individualized vertex, so far larger packings would exhaust the stack.  On
-# the empty torus packing a canonical key takes about 0.3 s at 24
-# dimensions, 0.5 s at 28 and 0.55 s at 32, interpreter start included
-# (2-core VM, the cap lifted past 24).
+# the empty torus packing a canonical key takes 0.35-0.4 s at 24
+# dimensions, 0.55 s at 28 and 0.85-0.9 s at 32, interpreter start
+# included (2-core VM, the cap lifted past 24, three runs each).
 CANON_MAX_DIM = 24
 
 
@@ -486,8 +486,9 @@ class _PermGroup:
     The stack holds the factor pairs (a, b) of the products still to sift
     and composes each as it is popped, in the order an eager stack would
     have built them.  Eager intp products held hundreds of rows at once on
-    the census workload's largest groups: peak_rss_mb 39.4 MiB against
-    36.3-36.4 MiB for the pairs.
+    the census workload's largest groups: its peak_rss_mb read 39.3 MiB,
+    against 36.4 MiB for the pairs and 35.9 MiB for products composed
+    eagerly in the keys' uint16 rows.
     """
 
     def __init__(self, n):

@@ -301,9 +301,11 @@ def test_orders_match_the_tuple_sift_and_close_on_small_groups(gens):
 
 
 # Generator sets whose sift-and-close order depends on the order in which
-# the two products of a pair are sifted: composing them the other way
-# round gives 5040 and 40320.  Random small sets rarely show it (4 in
-# 20,000 of up to 5 generators on up to 10 points).
+# the two products of a pair are sifted.  They generate S7 and S8; this
+# sift gives 4200 and 35280, not even divisors of 5040 and 40320, and
+# composing each popped pair the other way round gives 5040 and 40320.
+# Random small sets rarely show it (4 in 20,000 of up to 5 generators on
+# up to 10 points).
 @pytest.mark.parametrize("gens", [
     [[2, 3, 0, 4, 1, 5, 6], [6, 3, 2, 1, 4, 0, 5], [6, 3, 1, 4, 0, 5, 2],
      [4, 0, 2, 6, 1, 5, 3]],
@@ -385,7 +387,8 @@ def _first_largest_open_cell(cell_end, nv):
 
 def test_search_branches_on_the_first_largest_open_cell(monkeypatch):
     # each node scans only its parent's open cells; its children must
-    # still individualize in the cell a scan of every cell picks
+    # still individualize in the cell a scan of every cell picks, and
+    # every node's cell segments stay ascending (_refine's precondition)
     real_search = _Canonicalizer._search
     signature = inspect.signature(real_search)
     targets = []
@@ -395,6 +398,7 @@ def test_search_branches_on_the_first_largest_open_cell(monkeypatch):
         nonlocal inner
         node = signature.bind(self, *args).arguments
         lab, prefix = node["lab"], node["prefix"]
+        _assert_ascending_cells((lab, node["cell_of"], node["cell_end"]))
         if prefix:
             assert lab[targets[-1]] == prefix[-1]
         if node["cells"] == self.nv:
